@@ -145,6 +145,7 @@ def m_k_bound(dist: ServiceDistribution, k: int) -> float:
 
     if math.isfinite(s_sup):
         grid = s_sup * np.arange(1, _COARSE_POINTS + 1) / (_COARSE_POINTS + 1)
+        vals = [objective(s) for s in grid]
     else:
         # geometric grid around 1/mean, widened until the minimum is interior
         center = 1.0 / dists.mean(dist)
@@ -155,7 +156,6 @@ def m_k_bound(dist: ServiceDistribution, k: int) -> float:
             if int(np.argmin(vals)) < len(grid) - 1:
                 break
             hi_exp += 4
-    vals = [objective(s) for s in grid]
     i = int(np.argmin(vals))
     lo = grid[i - 1] if i > 0 else grid[0] / 64.0
     hi = grid[i + 1] if i < len(grid) - 1 else grid[-1]
@@ -488,6 +488,7 @@ def theoretical_gain(
     shape: float = 1.0,
     seed: int = 0,
     samples: int = _MC_SAMPLES,
+    m_k: float | None = None,
 ) -> GainBound:
     """Predicted latency gain of a k-way split over d-fold replication.
 
@@ -501,7 +502,7 @@ def theoretical_gain(
     the queue a d-choice job actually joins, the two effects offset
     and the difference tracks the simulated gain from below across the
     stable-load range.  ``std_err`` is the Monte-Carlo error of the
-    replicated side.
+    replicated side; ``m_k`` is passed on to the general mean bound.
     """
     if d < 2 or d != int(d):
         raise ValueError(f"replication factor d must be an integer >= 2, got {d}")
@@ -521,7 +522,7 @@ def theoretical_gain(
         report = mean_latency_bound_exp(k, lam, strict=False)
     else:
         params = dists.subexp_params(chunk)
-        report = mean_latency_bound_general(k, lam, params, dist=chunk, strict=False)
+        report = mean_latency_bound_general(k, lam, params, m_k=m_k, dist=chunk, strict=False)
     return GainBound(
         value=replicated_proxy - report.value,
         std_err=std_err,

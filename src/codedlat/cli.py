@@ -8,7 +8,8 @@ Subcommands:
 * ``sweep``     executes a sweep spec (config file, preset, or inline
                 flags) and writes the comparison CSV.
 * ``compare``   like sweep, but exits 1 unless every row passes.
-* ``figures``   emits the preset sweeps as plot-ready CSV files.
+* ``figures``   emits the preset sweeps as plot-ready CSV files; exits 1
+                if any row fails.
 
 Flags mirror the config keys (``--lambda``, ``--n``, ``--k``, ``--d``,
 ``--dist``, ``--shape``, ``--shift``, ``--L``, ``--seed``, ...).  When
@@ -54,14 +55,14 @@ def _int_list(text: str) -> list[int]:
 
 def _add_dist_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dist", default="exponential",
-                        help="service family (exponential, shifted-exponential, weibull, pareto, constant)")
+                        help="service family (exponential, shifted-exponential, weibull, pareto)")
     parser.add_argument("--shape", type=float, default=1.0, help="dist.shape")
     parser.add_argument("--shift", type=float, default=0.0, help="dist.shift")
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--L", type=int, default=None, help="sim.L (server count)")
-    parser.add_argument("--seed", type=int, default=0, help="sim.seed")
+    parser.add_argument("--seed", type=int, default=None, help="sim.seed (default: 0 or the preset's)")
     parser.add_argument("--warmup-jobs", type=int, default=None, help="sim.warmup_jobs")
     parser.add_argument("--measured-jobs", type=int, default=None, help="sim.measured_jobs")
 
@@ -157,7 +158,7 @@ def _cmd_simulate(args) -> int:
         policy=_policy_from_args(args),
         service=_service_from_args(args),
         L=args.L,
-        seed=args.seed,
+        seed=args.seed or 0,
         warmup_jobs=args.warmup_jobs,
         measured_jobs=args.measured_jobs,
     )
@@ -205,7 +206,7 @@ def _spec_from_args(args) -> harness.SweepSpec:
     if args.config:
         return harness.load_config(args.config)
     if args.preset:
-        return harness.preset(args.preset, seed=args.seed or None)
+        return harness.preset(args.preset, seed=args.seed)
     codes = harness._align_codes(
         args.experiment,
         _int_list(args.n) if args.n else [],
@@ -222,7 +223,7 @@ def _spec_from_args(args) -> harness.SweepSpec:
         shape=args.shape,
         shift=args.shift,
         L=args.L,
-        seed=args.seed,
+        seed=args.seed or 0,
         warmup_jobs=args.warmup_jobs,
         measured_jobs=args.measured_jobs,
     )
@@ -260,7 +261,7 @@ def _cmd_sweep(args, *, gate: bool) -> int:
 def _cmd_figures(args) -> int:
     out_dir = args.out or os.environ.get(_OUT_ENV, "figures-data")
     names = [args.only] if args.only else sorted(harness.PRESETS)
-    status = 0
+    failed = 0
     for name in names:
         spec = harness.preset(name, seed=args.seed)
         rows = harness.run_sweep(spec, workers=args.jobs)
@@ -268,7 +269,8 @@ def _cmd_figures(args) -> int:
         harness.write_csv(rows, path)
         passed = sum(row.passed for row in rows)
         print(f"{name}: {len(rows)} rows ({passed} passed) -> {path}")
-    return status
+        failed += len(rows) - passed
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:

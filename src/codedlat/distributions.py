@@ -42,7 +42,6 @@ __all__ = [
     "service_pair",
     "subexp_params",
     "classify",
-    "support_lower",
 ]
 
 
@@ -191,17 +190,6 @@ def mean(dist: ServiceDistribution) -> float:
 
 def second_moment(dist: ServiceDistribution) -> float:
     return moment(dist, 2)
-
-
-def support_lower(dist: ServiceDistribution) -> float:
-    """Left edge of the support (every family here is nonnegative)."""
-    if isinstance(dist, Constant):
-        return dist.value
-    if isinstance(dist, ShiftedExponential):
-        return dist.shift
-    if isinstance(dist, Pareto):
-        return dist.minimum
-    return 0.0
 
 
 def mgf_domain_sup(dist: ServiceDistribution) -> float:

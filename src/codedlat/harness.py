@@ -62,7 +62,6 @@ __all__ = [
     "PRESETS",
     "SweepSpec",
     "load_config",
-    "rows_pass",
     "run_sweep",
     "write_csv",
 ]
@@ -316,15 +315,25 @@ def _point_seed(base: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _mean_bound(spec: SweepSpec, k: int, lam: float) -> bounds.BoundReport:
+def _mean_bound(spec: SweepSpec, k: int, lam: float, m_k: float | None) -> bounds.BoundReport:
     if spec.family == "exponential":
         return bounds.mean_latency_bound_exp(k, lam, strict=False)
     chunk = dists.chunk_dist(spec.family, k, shift=spec.shift, shape=spec.shape)
     params = dists.subexp_params(chunk)
-    return bounds.mean_latency_bound_general(k, lam, params, dist=chunk, strict=False)
+    return bounds.mean_latency_bound_general(k, lam, params, m_k=m_k, dist=chunk, strict=False)
 
 
-def _gain_point(spec: SweepSpec, code, lam: float, seed: int) -> list[ComparisonRow]:
+def _residual_max(spec: SweepSpec) -> dict[int, float]:
+    """M(k) of each split count, once per sweep: it depends only on the chunk law."""
+    if spec.family == "exponential" or spec.experiment not in ("gain-sweep", "bound-check"):
+        return {}
+    return {
+        k: bounds.m_k_bound(dists.chunk_dist(spec.family, k, shift=spec.shift, shape=spec.shape), k)
+        for k in sorted({k for _, k, _ in spec.codes})
+    }
+
+
+def _gain_point(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None) -> list[ComparisonRow]:
     n, k, d = code
     extra = {} if spec.measured_jobs is None else {"measured_jobs": spec.measured_jobs}
     sim = gain_experiment(
@@ -334,7 +343,7 @@ def _gain_point(spec: SweepSpec, code, lam: float, seed: int) -> list[Comparison
         **extra,
     )
     theory = bounds.theoretical_gain(
-        d, k, lam, spec.family, shift=spec.shift, shape=spec.shape, seed=seed
+        d, k, lam, spec.family, shift=spec.shift, shape=spec.shape, seed=seed, m_k=m_k
     )
     passed = sim.gain > 0.0 and sim.gain >= theory.value - 3.0 * sim.std_err
     return [ComparisonRow(
@@ -345,7 +354,7 @@ def _gain_point(spec: SweepSpec, code, lam: float, seed: int) -> list[Comparison
     )]
 
 
-def _bound_point(spec: SweepSpec, code, lam: float, seed: int) -> list[ComparisonRow]:
+def _bound_point(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None) -> list[ComparisonRow]:
     n, k, d = code
     config = ClusterConfig(
         lam=lam,
@@ -355,7 +364,7 @@ def _bound_point(spec: SweepSpec, code, lam: float, seed: int) -> list[Compariso
         warmup_jobs=spec.warmup_jobs, measured_jobs=spec.measured_jobs,
     )
     stats = run(config)
-    report = _mean_bound(spec, k, lam)
+    report = _mean_bound(spec, k, lam, m_k)
     passed = stats.mean <= report.value + 3.0 * stats.std_err
     aux_a = report.auxiliary.get("residual_max")
     aux_b = report.auxiliary.get("phi")
@@ -367,7 +376,7 @@ def _bound_point(spec: SweepSpec, code, lam: float, seed: int) -> list[Compariso
     )]
 
 
-def _tail_point(spec: SweepSpec, code, lam: float, seed: int) -> list[ComparisonRow]:
+def _tail_point(spec: SweepSpec, code, lam: float, seed: int, m_k: None) -> list[ComparisonRow]:
     n, k, d = code
     config = ClusterConfig(
         lam=lam,
@@ -398,7 +407,7 @@ def _tail_point(spec: SweepSpec, code, lam: float, seed: int) -> list[Comparison
     return rows
 
 
-def _batch_point(spec: SweepSpec, code, lam: float, seed: int) -> list[ComparisonRow]:
+def _batch_point(spec: SweepSpec, code, lam: float, seed: int, m_k: None) -> list[ComparisonRow]:
     n, k, _ = code
     ratio = n / k
     config = ClusterConfig(
@@ -424,7 +433,7 @@ def _batch_point(spec: SweepSpec, code, lam: float, seed: int) -> list[Compariso
     )]
 
 
-def _residual_point(spec: SweepSpec, code, lam: float, seed: int) -> list[ComparisonRow]:
+def _residual_point(spec: SweepSpec, code, lam: float, seed: int, m_k: None) -> list[ComparisonRow]:
     n, k, d = code
     service = dists.service_pair(spec.family, max(k, 1), shift=spec.shift, shape=spec.shape)[0]
     sim = empirical_residual(
@@ -450,18 +459,17 @@ _RUNNERS = {
 }
 
 
-def _execute_point(args: tuple[SweepSpec, int, tuple[int, int, int], float]) -> list[ComparisonRow]:
-    spec, index, code, lam = args
+def _execute_point(args: tuple) -> list[ComparisonRow]:
+    spec, index, code, lam, m_k = args
     seed = _point_seed(spec.seed, index)
-    return _RUNNERS[spec.experiment](spec, code, lam, seed)
+    return _RUNNERS[spec.experiment](spec, code, lam, seed, m_k)
 
 
-def _enumerate_points(spec: SweepSpec) -> list[tuple[SweepSpec, int, tuple[int, int, int], float]]:
-    points = []
-    for code in spec.codes:
-        for lam in spec.lam_grid:
-            points.append((spec, len(points), code, lam))
-    return points
+def _enumerate_points(spec: SweepSpec) -> list[tuple]:
+    """(spec, index, code, lam, M(k) or None) for every grid point."""
+    residual_max = _residual_max(spec)
+    grid = [(code, lam) for code in spec.codes for lam in spec.lam_grid]
+    return [(spec, i, code, lam, residual_max.get(code[1])) for i, (code, lam) in enumerate(grid)]
 
 
 def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> list[ComparisonRow]:
@@ -480,10 +488,6 @@ def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> list[Comparison
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=ComparisonRow.sort_key)
     return rows
-
-
-def rows_pass(rows: Iterable[ComparisonRow]) -> bool:
-    return all(row.passed for row in rows)
 
 
 # ---------------------------------------------------------------------------

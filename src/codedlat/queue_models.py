@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 __all__ = [
     "DoubleExpTailModel",
@@ -145,8 +144,8 @@ def order_stat_expectation(pmf, sample_count: int, rank: int) -> float:
     """E of the rank-th smallest of ``sample_count`` iid draws from ``pmf``.
 
     Uses the tail identity E[Q_(rank)] = sum_m P(Q_(rank) >= m) with
-    P(Q_(rank) >= m) = P(Binomial(N, F(m-1)) <= rank-1); exact up to
-    binomial CDF evaluation, no sampling involved.
+    P(Q_(rank) >= m) = P(Binomial(N, F(m-1)) <= rank-1), summed term by
+    term from exact binomial coefficients; no sampling involved.
     """
     arr = _as_pmf(pmf)
     n = int(sample_count)
@@ -157,7 +156,10 @@ def order_stat_expectation(pmf, sample_count: int, rank: int) -> float:
     cdf_below = np.cumsum(arr)[:-1]  # F(m-1) for m = 1..q_max
     if cdf_below.size == 0:
         return 0.0
-    return float(np.sum(binom.cdf(rank - 1, n, np.minimum(cdf_below, 1.0))))
+    f = np.minimum(cdf_below, 1.0)[:, None]
+    j = np.arange(rank)
+    coef = np.array([math.comb(n, i) for i in j], dtype=float)
+    return float(np.sum(coef * f**j * (1.0 - f) ** (n - j)))
 
 
 def sum_order_stats(pmf, sample_count: int) -> float:

@@ -11,7 +11,8 @@ previous departure) + service, so it never materializes future events;
 the event engine maintains an explicit event heap and is required for
 ``RedundantRequest``, whose purges change server state mid-service.
 Both consume the same three RNG streams (arrivals, selection, service)
-in the same order, which is what makes their outputs interchangeable.
+in the same order, each drawn in blocks (selection candidates as blocks
+of server rows), which is what makes their outputs interchangeable.
 """
 
 from __future__ import annotations
@@ -253,6 +254,7 @@ class _Stream:
     Both engines must call ``take``/``take1`` in the same order with
     the same sizes; the block size is fixed so the underlying call
     pattern (hence the generator state) depends only on that order.
+    Selection candidates come in blocks too, from ``_draw_distinct``.
     """
 
     __slots__ = ("_rng", "_draw", "_buf", "_pos")
@@ -284,39 +286,41 @@ class _Stream:
         return float(v)
 
 
-def _draw_distinct(rng, n_servers: int, m: int) -> list[int]:
-    """m distinct server indices, in draw order (that order breaks ties)."""
-    if 8 * m >= n_servers:
-        return rng.permutation(n_servers)[:m].tolist()
-    out = rng.integers(0, n_servers, size=m).tolist()
-    if len(set(out)) == m:
-        return out
-    uniq: list[int] = []
-    seen: set[int] = set()
-    for s in out:
-        if s not in seen:
-            seen.add(s)
-            uniq.append(s)
-    while len(uniq) < m:
-        for s in rng.integers(0, n_servers, size=m - len(uniq)).tolist():
-            if s not in seen:
-                seen.add(s)
-                uniq.append(s)
-    return uniq
+def _draw_distinct(rng, n_servers: int, m: int):
+    """Endless uniform ordered samples of m of L servers, a block per generator call.
+
+    Rows are drawn with replacement and any row that repeats a server is
+    redrawn whole: about m exp(m(m-1)/2L) draws per row.  Where that
+    reaches L, each row is the head of a shuffle of all L servers instead.
+    """
+    rows = max(1, _BLOCK // m)
+    if m * (m - 1) / (2 * n_servers) > math.log(n_servers / m):
+        while True:
+            yield from rng.permuted(np.tile(np.arange(n_servers), (rows, 1)), axis=1)[:, :m].tolist()
+    while True:
+        block = rng.integers(0, n_servers, size=(rows, m))
+        redo = np.arange(rows)
+        while redo.size:
+            srt = np.sort(block[redo], axis=1)
+            redo = redo[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
+            block[redo] = rng.integers(0, n_servers, size=(redo.size, m))
+        yield from block.tolist()
 
 
 def _make_selector(policy: Policy, n_servers: int, rng):
     """Bind the policy to a closure: qlen callback -> (chosen, probed qlens).
 
     Ties on queue length resolve to the earliest candidate in draw
-    order; the draw itself is the seeded shuffle, so tie-breaking is
-    deterministic without favoring low server indices.
+    order; the draw itself is uniform, so tie-breaking is deterministic
+    without favoring low server indices.  Both engines consume the same
+    blocks of candidate rows from one ``_draw_distinct`` per run.
     """
+    rows = _draw_distinct(rng, n_servers, _fanout(policy))
     if isinstance(policy, NaiveReplication):
         d = policy.d
 
         def select(qlen):
-            cand = _draw_distinct(rng, n_servers, d)
+            cand = next(rows)
             q = [qlen(s) for s in cand]
             best = 0
             for i in range(1, d):
@@ -329,7 +333,7 @@ def _make_selector(policy: Policy, n_servers: int, rng):
         k, d = policy.k, policy.d
 
         def select(qlen):
-            cand = _draw_distinct(rng, n_servers, k * d)
+            cand = next(rows)
             q = [qlen(s) for s in cand]
             chosen = []
             for base in range(0, k * d, d):
@@ -345,17 +349,15 @@ def _make_selector(policy: Policy, n_servers: int, rng):
         n, k = policy.n, policy.k
 
         def select(qlen):
-            cand = _draw_distinct(rng, n_servers, n)
+            cand = next(rows)
             q = [qlen(s) for s in cand]
             order = sorted(range(n), key=q.__getitem__)  # stable sort keeps draw order
             return [cand[i] for i in order[:k]], q
 
         return select
     if isinstance(policy, RedundantRequest):
-        m = policy.k + policy.extra
-
         def select(qlen):
-            cand = _draw_distinct(rng, n_servers, m)
+            cand = next(rows)
             return cand, [qlen(s) for s in cand]
 
         return select

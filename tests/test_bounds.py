@@ -12,6 +12,7 @@ from codedlat.distributions import (
     ShiftedExponential,
     SubExpParams,
     Weibull,
+    chunk_dist,
 )
 
 RNG_SEED = 477051
@@ -163,6 +164,22 @@ def test_mean_bound_general_negative_level_uses_linear_branch():
 def test_m_k_reference_values():
     assert bounds.m_k_bound(Exponential(rate=8.0), 8) == pytest.approx(0.575877942, abs=1e-6)
     assert bounds.m_k_bound(Exponential(rate=1.0), 1) == pytest.approx(1.000060567, abs=1e-6)
+
+
+def test_m_k_weibull_evaluates_coarse_grid_once(monkeypatch):
+    # unbounded MGF domain: 128 grid points plus the golden-section steps
+    calls = []
+    real_mgf = bounds.mgf
+    monkeypatch.setattr(bounds, "mgf", lambda dist, s: calls.append(s) or real_mgf(dist, s))
+    bounds.m_k_bound(chunk_dist("weibull", 4, shape=1.5), 4)
+    assert len(calls) == 159
+
+
+@pytest.mark.parametrize("k,want", [
+    (2, 0.8145601269601256), (3, 0.6388517961001472), (4, 0.5246931051519599),
+])
+def test_m_k_weibull_reference_values_bit_exact(k, want):
+    assert bounds.m_k_bound(chunk_dist("weibull", k, shape=1.5), k) == want
 
 
 def test_m_k_scales_with_chunk_count():

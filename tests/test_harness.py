@@ -1,9 +1,12 @@
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from codedlat import cli, harness
+from codedlat import distributions as dists
 from codedlat.distributions import Exponential
 from codedlat.simulator import ClusterConfig, KSplit
 
@@ -241,6 +244,61 @@ def test_cli_compare_exit_0_when_all_rows_pass(tmp_path, capsys):
     ), name="ok.config")
     out = str(tmp_path / "ok.csv")
     assert cli.main(["compare", "--config", passing, "--out", out]) == 0
+
+
+def test_sweep_computes_residual_max_once_per_split_count(monkeypatch):
+    spec = harness.SweepSpec(
+        "gain-sweep", (0.3, 0.6), ((4, 2, 2), (6, 2, 3), (6, 3, 2)), "weibull", shape=1.5,
+        L=200, seed=4, warmup_jobs=300, measured_jobs=600,
+    )
+    calls = []
+    real = harness.bounds.m_k_bound
+    monkeypatch.setattr(harness.bounds, "m_k_bound", lambda dist, k: calls.append(k) or real(dist, k))
+    shared = harness.render_csv(harness.run_sweep(spec))
+    assert sorted(calls) == [2, 3]
+    # the same rows, byte for byte, as when every point computes its own term
+    monkeypatch.setattr(harness, "_residual_max", lambda spec: {})
+    calls.clear()
+    assert harness.render_csv(harness.run_sweep(spec)) == shared
+    assert len(calls) == 6
+
+
+def test_bound_check_rows_unchanged_by_shared_residual_max(monkeypatch):
+    spec = harness.SweepSpec(
+        "bound-check", (0.6, 0.8), ((4, 2, 2),), "shifted-exponential", shift=0.1,
+        L=200, seed=2, warmup_jobs=300, measured_jobs=600,
+    )
+    shared = harness.render_csv(harness.run_sweep(spec))
+    monkeypatch.setattr(harness, "_residual_max", lambda spec: {})
+    assert harness.render_csv(harness.run_sweep(spec)) == shared
+
+
+def test_cli_figures_exit_1_on_failed_row(tmp_path, capsys, monkeypatch):
+    failed = harness.ComparisonRow(
+        "batch-sampling", "exponential", 1.0, 0.0, 14, 10, 1.4, 0.9, None, 0,
+        sim_mean=13.0, sim_se=0.01, theory=12.0, branch="BoundI-tight", passed=False,
+    )
+    monkeypatch.setattr(harness, "run_sweep", lambda spec, workers=None: [failed])
+    assert cli.main(["figures", "--only", "fig5", "--out", str(tmp_path)]) == 1
+    assert "0 passed" in capsys.readouterr().out
+
+
+def test_cli_preset_seed_zero_overrides_preset_seed(monkeypatch):
+    monkeypatch.setitem(harness.PRESETS, "fig5", replace(harness.PRESETS["fig5"], seed=5))
+    parser = cli._build_parser()
+    spec = cli._spec_from_args(parser.parse_args(["sweep", "--preset", "fig5", "--seed", "0"]))
+    assert spec.seed == 0
+    assert cli._spec_from_args(parser.parse_args(["sweep", "--preset", "fig5"])).seed == 5
+
+
+def test_cli_dist_help_lists_only_accepted_families(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    families = re.search(r"service family \(([^)]*)\)", text).group(1).split(", ")
+    assert "constant" not in families
+    for family in families:
+        dists.canonical_family(family)
 
 
 def test_cli_simulate_smoke(capsys):

@@ -149,3 +149,17 @@ def test_model_validation():
         DoubleExpTailModel(lam=0.5, d=1.0, per_queue_load=0.5)
     with pytest.raises(ValueError):
         BatchSamplingDist(lam=0.5, probe_ratio=1.4, q_max=1, pmf=np.array([0.7, 0.7]))
+
+
+@pytest.mark.parametrize("lam", [0.8, 0.85, 0.9])
+def test_order_stat_expectation_matches_explicit_binomial_sum(lam):
+    # the fig5 cell: probe ratio 14/10, ten draws
+    pmf = batch_sampling_pmf(lam, 1.4)
+    cdf = np.cumsum(pmf.pmf)[:-1]
+    n = 10
+    for rank in range(1, n + 1):
+        want = sum(
+            math.comb(n, j) * float(f) ** j * (1.0 - float(f)) ** (n - j)
+            for f in cdf for j in range(rank)
+        )
+        assert order_stat_expectation(pmf, n, rank) == pytest.approx(want, rel=0, abs=1e-12)

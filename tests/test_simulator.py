@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from codedlat.bounds import harmonic, redundant_request_latency, residual_moment
 from codedlat.distributions import Constant, Exponential, ShiftedExponential, Weibull
@@ -12,6 +14,7 @@ from codedlat.simulator import (
     LeastKOfN,
     NaiveReplication,
     RedundantRequest,
+    _draw_distinct,
     empirical_residual,
     gain_experiment,
     run,
@@ -39,6 +42,68 @@ def test_fast_and_event_engines_agree_exactly(policy, service):
     fast = run(_config(policy, service, engine="fast"))
     event = run(_config(policy, service, engine="event"))
     assert fast == event
+
+
+class _CountingRng:
+    """A generator that records which of its drawing methods are used."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.used = set()
+
+    def __getattr__(self, name):
+        self.used.add(name)
+        return getattr(self._rng, name)
+
+
+# (L, m, path): the sampler shuffles where whole-row redraws of a
+# with-replacement row would cost more than a shuffle of all L servers;
+# (64, 8) has 8 m >= L yet still redraws rows
+_SAMPLER_CASES = [
+    (2, 2, "permuted"), (6, 5, "permuted"), (12, 12, "permuted"), (300, 200, "permuted"),
+    (5, 1, "integers"), (3, 2, "integers"), (64, 8, "integers"), (200, 6, "integers"),
+    (2000, 24, "integers"),
+]
+
+
+@pytest.mark.parametrize("L,m,path", _SAMPLER_CASES)
+def test_candidate_rows_distinct_and_in_range(L, m, path):
+    rng = _CountingRng(3)
+    rows = _draw_distinct(rng, L, m)
+    block = np.array([next(rows) for _ in range(3 * max(1, 8192 // m) + 7)])
+    assert rng.used == {path}
+    assert block.shape[1] == m
+    assert block.min() >= 0 and block.max() < L
+    srt = np.sort(block, axis=1)
+    assert not (srt[:, 1:] == srt[:, :-1]).any()
+
+
+@pytest.mark.parametrize("L,m", [(6, 5), (10, 4)])  # one case per path
+def test_candidate_rows_uniform_in_every_position(L, m):
+    rows = _draw_distinct(np.random.default_rng(11), L, m)
+    block = np.array([next(rows) for _ in range(30_000)])
+    for pos in range(m):
+        assert chisquare(np.bincount(block[:, pos], minlength=L)).pvalue > 1e-4
+    # ordered pairs of the first two positions: uniform over the L (L - 1) distinct pairs
+    pairs = np.bincount(block[:, 0] * L + block[:, 1], minlength=L * L).reshape(L, L)
+    assert not pairs.diagonal().any()
+    assert chisquare(pairs[~np.eye(L, dtype=bool)]).pvalue > 1e-4
+
+
+@pytest.mark.parametrize(
+    "policy,service",
+    [
+        (NaiveReplication(d=4), Exponential(rate=1.0)),
+        (KSplit(k=2, d=2), Exponential(rate=2.0)),
+        (LeastKOfN(n=5, k=2), Exponential(rate=2.0)),
+        (BatchSampling(n=5, k=4), Exponential(rate=1.0)),
+    ],
+)
+@pytest.mark.parametrize("L", [6, 2000])  # shuffled rows, redrawn rows
+def test_engines_agree_on_both_candidate_paths(policy, service, L):
+    config = ClusterConfig(lam=0.6, policy=policy, service=service, L=L,
+                           warmup_jobs=500, measured_jobs=3_000)
+    assert run(config) == run(replace(config, engine="event"))
 
 
 def test_identical_config_is_bit_identical():
