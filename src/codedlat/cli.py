@@ -14,8 +14,9 @@ Subcommands:
 Flags mirror the config keys (``--lambda``, ``--n``, ``--k``, ``--d``,
 ``--dist``, ``--shape``, ``--shift``, ``--L``, ``--seed``, ...).  When
 ``--out`` is omitted, files land under ``$CODEDLAT_OUT`` (default
-current directory).  Exit status: 0 success, 1 failed comparison,
-2 configuration error.
+current directory).  Exit status: 0 success, 1 failed comparison or
+any other failure, 2 configuration error (bad flags or config file);
+errors raised while simulating are not configuration errors.
 """
 
 from __future__ import annotations
@@ -50,7 +51,10 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
 
 def _int_list(text: str) -> list[int]:
     parts = [p for chunk in text.split(",") for p in chunk.split()]
-    return [int(p) for p in parts]
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise harness.ConfigError(f"bad integer list '{text}'") from None
 
 
 def _add_dist_flags(parser: argparse.ArgumentParser) -> None:
@@ -153,15 +157,18 @@ def _service_from_args(args) -> dists.ServiceDistribution:
 
 
 def _cmd_simulate(args) -> int:
-    config = ClusterConfig(
-        lam=args.lam,
-        policy=_policy_from_args(args),
-        service=_service_from_args(args),
-        L=args.L,
-        seed=args.seed or 0,
-        warmup_jobs=args.warmup_jobs,
-        measured_jobs=args.measured_jobs,
-    )
+    try:
+        config = ClusterConfig(
+            lam=args.lam,
+            policy=_policy_from_args(args),
+            service=_service_from_args(args),
+            L=args.L,
+            seed=args.seed or 0,
+            warmup_jobs=args.warmup_jobs,
+            measured_jobs=args.measured_jobs,
+        )
+    except ValueError as exc:
+        raise harness.ConfigError(str(exc)) from None
     stats = run(config)
     print(f"jobs = {stats.job_count}")
     print(f"mean = {stats.mean:.6g}  (se {stats.std_err:.3g})")
@@ -204,7 +211,10 @@ def _spec_from_args(args) -> harness.SweepSpec:
     if len(chosen) != 1:
         raise harness.ConfigError("choose exactly one of --config, --preset, --experiment")
     if args.config:
-        return harness.load_config(args.config)
+        try:
+            return harness.load_config(args.config)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise harness.ConfigError(f"cannot read config: {exc}") from None
     if args.preset:
         return harness.preset(args.preset, seed=args.seed)
     codes = harness._align_codes(
@@ -279,13 +289,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "bound":
-            return _cmd_bound(args)
+            try:
+                return _cmd_bound(args)
+            except ValueError as exc:  # the closed forms check their arguments' domain
+                raise harness.ConfigError(str(exc)) from None
         if args.command == "sweep":
             return _cmd_sweep(args, gate=False)
         if args.command == "compare":
             return _cmd_sweep(args, gate=True)
         return _cmd_figures(args)
-    except (ValueError, OSError) as exc:
+    except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,10 +49,11 @@ from . import distributions as dists
 from .simulator import (
     BatchSampling,
     ClusterConfig,
+    GainResult,
     KSplit,
-    gain_experiment,
     empirical_residual,
-    run,
+    gain_arms,
+    run_many,
 )
 
 __all__ = [
@@ -123,6 +124,13 @@ class SweepSpec:
             self._check_code(n, k, d)
         if self.experiment in ("tail-check", "batch-sampling") and fam != "exponential":
             raise ConfigError(f"dist.family '{fam}' unsupported for {self.experiment}")
+        try:  # the service laws and the bounds' envelopes exist before anything runs
+            for k in sorted({k for _, k, _ in self.codes}):
+                chunk = dists.service_pair(fam, max(k, 1), shift=self.shift, shape=self.shape)[1]
+                if self.experiment in ("gain-sweep", "bound-check") and fam != "exponential":
+                    dists.subexp_params(chunk)
+        except ValueError as exc:
+            raise ConfigError(f"dist: {exc}") from None
         if self.L is not None and self.L < 1:
             raise ConfigError(f"sim.L must be positive, got {self.L}")
         if self.measured_jobs is not None and self.measured_jobs < 1:
@@ -137,6 +145,9 @@ class SweepSpec:
         if kind == "batch-sampling":
             if not k < n < 2 * k:
                 raise ConfigError(f"code ({n},{k}): batch sampling needs k < n < 2k")
+            for lam in self.lam_grid:
+                if abs(lam * n / k - 1.0) < 1e-12:
+                    raise ConfigError(f"code ({n},{k}): batch bounds are singular at lambda = k/n")
             return
         if d < 2:
             raise ConfigError(f"code ({n},{k},{d}): replication degree d must be >= 2")
@@ -333,15 +344,29 @@ def _residual_max(spec: SweepSpec) -> dict[int, float]:
     }
 
 
-def _gain_point(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None) -> list[ComparisonRow]:
+def _point_configs(spec: SweepSpec, code, lam: float, seed: int) -> tuple[ClusterConfig, ...]:
+    """The simulations of one grid point: both arms of a gain point, one run otherwise."""
     n, k, d = code
-    extra = {} if spec.measured_jobs is None else {"measured_jobs": spec.measured_jobs}
-    sim = gain_experiment(
-        k, d, lam, spec.family, seed,
-        shift=spec.shift, shape=spec.shape,
-        L=spec.L, warmup_jobs=spec.warmup_jobs,
-        **extra,
-    )
+    kind = spec.experiment
+    common = dict(L=spec.L, seed=seed, warmup_jobs=spec.warmup_jobs)
+    if kind == "residual-check":
+        return ()
+    if kind == "gain-sweep":
+        extra = {} if spec.measured_jobs is None else {"measured_jobs": spec.measured_jobs}
+        return gain_arms(k, d, lam, spec.family, shift=spec.shift, shape=spec.shape,
+                         **common, **extra)
+    if kind == "batch-sampling":
+        policy, service = BatchSampling(n=n, k=k), dists.Exponential(rate=1.0)
+    else:
+        policy = KSplit(k=k, d=d)
+        service = dists.chunk_dist(spec.family, k, shift=spec.shift, shape=spec.shape)
+    return (ClusterConfig(lam, policy, service, measured_jobs=spec.measured_jobs,
+                          keep_samples=kind == "tail-check", **common),)
+
+
+def _gain_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None, stats) -> list[ComparisonRow]:
+    n, k, d = code
+    sim = GainResult.of(*stats)
     theory = bounds.theoretical_gain(
         d, k, lam, spec.family, shift=spec.shift, shape=spec.shape, seed=seed, m_k=m_k
     )
@@ -354,16 +379,9 @@ def _gain_point(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None)
     )]
 
 
-def _bound_point(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None) -> list[ComparisonRow]:
+def _bound_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None, stats) -> list[ComparisonRow]:
     n, k, d = code
-    config = ClusterConfig(
-        lam=lam,
-        policy=KSplit(k=k, d=d),
-        service=dists.chunk_dist(spec.family, k, shift=spec.shift, shape=spec.shape),
-        L=spec.L, seed=seed,
-        warmup_jobs=spec.warmup_jobs, measured_jobs=spec.measured_jobs,
-    )
-    stats = run(config)
+    (stats,) = stats
     report = _mean_bound(spec, k, lam, m_k)
     passed = stats.mean <= report.value + 3.0 * stats.std_err
     aux_a = report.auxiliary.get("residual_max")
@@ -376,18 +394,9 @@ def _bound_point(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None
     )]
 
 
-def _tail_point(spec: SweepSpec, code, lam: float, seed: int, m_k: None) -> list[ComparisonRow]:
+def _tail_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stats) -> list[ComparisonRow]:
     n, k, d = code
-    config = ClusterConfig(
-        lam=lam,
-        policy=KSplit(k=k, d=d),
-        service=dists.chunk_dist(spec.family, k),
-        L=spec.L, seed=seed,
-        warmup_jobs=spec.warmup_jobs, measured_jobs=spec.measured_jobs,
-        keep_samples=True,
-    )
-    stats = run(config)
-    samples = stats.samples
+    samples = stats[0].samples
     assert samples is not None
     level = math.log2(math.log(_TAIL_EPSILON / k) / math.log(lam / k))
     anchor = level / k
@@ -407,17 +416,10 @@ def _tail_point(spec: SweepSpec, code, lam: float, seed: int, m_k: None) -> list
     return rows
 
 
-def _batch_point(spec: SweepSpec, code, lam: float, seed: int, m_k: None) -> list[ComparisonRow]:
+def _batch_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stats) -> list[ComparisonRow]:
     n, k, _ = code
+    (stats,) = stats
     ratio = n / k
-    config = ClusterConfig(
-        lam=lam,
-        policy=BatchSampling(n=n, k=k),
-        service=dists.Exponential(rate=1.0),
-        L=spec.L, seed=seed,
-        warmup_jobs=spec.warmup_jobs, measured_jobs=spec.measured_jobs,
-    )
-    stats = run(config)
     tight = bounds.bound_I(lam, ratio, k, variant="tight")
     loose = bounds.bound_I(lam, ratio, k, variant="loose")
     moment = bounds.bound_II(lam, ratio, k)
@@ -433,7 +435,7 @@ def _batch_point(spec: SweepSpec, code, lam: float, seed: int, m_k: None) -> lis
     )]
 
 
-def _residual_point(spec: SweepSpec, code, lam: float, seed: int, m_k: None) -> list[ComparisonRow]:
+def _residual_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stats) -> list[ComparisonRow]:
     n, k, d = code
     service = dists.service_pair(spec.family, max(k, 1), shift=spec.shift, shape=spec.shape)[0]
     sim = empirical_residual(
@@ -450,41 +452,49 @@ def _residual_point(spec: SweepSpec, code, lam: float, seed: int, m_k: None) -> 
     )]
 
 
-_RUNNERS = {
-    "gain-sweep": _gain_point,
-    "bound-check": _bound_point,
-    "tail-check": _tail_point,
-    "batch-sampling": _batch_point,
-    "residual-check": _residual_point,
+# a point's rows from the statistics of its simulations
+_ROWS = {
+    "gain-sweep": _gain_rows,
+    "bound-check": _bound_rows,
+    "tail-check": _tail_rows,
+    "batch-sampling": _batch_rows,
+    "residual-check": _residual_rows,
 }
 
 
-def _execute_point(args: tuple) -> list[ComparisonRow]:
-    spec, index, code, lam, m_k = args
-    seed = _point_seed(spec.seed, index)
-    return _RUNNERS[spec.experiment](spec, code, lam, seed, m_k)
-
-
-def _enumerate_points(spec: SweepSpec) -> list[tuple]:
-    """(spec, index, code, lam, M(k) or None) for every grid point."""
-    residual_max = _residual_max(spec)
-    grid = [(code, lam) for code in spec.codes for lam in spec.lam_grid]
-    return [(spec, i, code, lam, residual_max.get(code[1])) for i, (code, lam) in enumerate(grid)]
+def _point_rows(args: tuple) -> list[ComparisonRow]:
+    spec, code, lam, seed, m_k, stats = args
+    return _ROWS[spec.experiment](spec, code, lam, seed, m_k, stats)
 
 
 def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> list[ComparisonRow]:
     """Execute every grid point and return rows sorted by coordinates.
 
-    ``workers`` > 1 fans points out to a process pool; each point owns
-    a seed derived from (spec.seed, point index), so the result is
-    identical to the serial run.
+    The simulations of all points (both arms of a gain point) go to
+    ``run_many`` at once, so a sweep's runs advance as lockstep lanes;
+    bounds and rows then follow point by point.  ``workers`` > 1 hands
+    each worker process one contiguous share of the simulations, then
+    fans the points out; each point owns a seed derived from
+    (spec.seed, point index), so the result is identical to the serial run.
     """
-    points = _enumerate_points(spec)
+    residual_max = _residual_max(spec)
+    grid = [(code, lam) for code in spec.codes for lam in spec.lam_grid]
+    points = [(code, lam, _point_seed(spec.seed, i)) for i, (code, lam) in enumerate(grid)]
+    configs = [_point_configs(spec, *point) for point in points]
+    flat = [config for point in configs for config in point]
+
+    def tasks(stats):
+        pending = iter(stats)
+        return [(spec, code, lam, seed, residual_max.get(code[1]), [next(pending) for _ in point])
+                for (code, lam, seed), point in zip(points, configs)]
+
     if workers is not None and workers > 1:
+        size = max(1, -(-len(flat) // workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_execute_point, points))
+            shares = pool.map(run_many, [flat[i : i + size] for i in range(0, len(flat), size)])
+            chunks = list(pool.map(_point_rows, tasks(s for share in shares for s in share)))
     else:
-        chunks = [_execute_point(p) for p in points]
+        chunks = [_point_rows(task) for task in tasks(run_many(flat))]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=ComparisonRow.sort_key)
     return rows

@@ -5,14 +5,17 @@ servers.  A dispatch policy probes a random server subset per job and
 enqueues one task per selected server; the job's latency runs from its
 arrival to the completion of the last task it needs.
 
-Two engines produce bit-identical results for non-purging policies.
-The fast engine exploits the FCFS identity departure = max(arrival,
-previous departure) + service, so it never materializes future events;
-the event engine maintains an explicit event heap and is required for
+Three paths produce bit-identical results for non-purging policies.
+The scalar fast engine exploits the FCFS identity departure =
+max(arrival, previous departure) + service, so it never materializes
+future events; ``run_many`` advances many such runs (the points of a
+sweep) in lockstep as numpy lanes, counting each queue from a ring of
+its server's pending departures; the event engine maintains an explicit
+event heap, is the oracle for both, and is required for
 ``RedundantRequest``, whose purges change server state mid-service.
-Both consume the same three RNG streams (arrivals, selection, service)
-in the same order, each drawn in blocks (selection candidates as blocks
-of server rows), which is what makes their outputs interchangeable.
+Every run consumes its own three RNG streams (arrivals, selection,
+service), each drawn in whole blocks (selection candidates as blocks of
+server rows), which is what makes the outputs interchangeable.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +42,8 @@ __all__ = [
     "LatencyStats",
     "GainResult",
     "run",
+    "run_many",
+    "gain_arms",
     "gain_experiment",
     "empirical_residual",
 ]
@@ -132,35 +138,39 @@ class RedundantRequest:
 Policy = NaiveReplication | KSplit | LeastKOfN | BatchSampling | RedundantRequest
 
 
-def _fanout(policy: Policy) -> int:
-    """Servers probed per job."""
-    if isinstance(policy, NaiveReplication):
-        return policy.d
-    if isinstance(policy, KSplit):
-        return policy.k * policy.d
-    if isinstance(policy, (LeastKOfN, BatchSampling)):
-        return policy.n
-    if isinstance(policy, RedundantRequest):
-        return policy.k + policy.extra
-    raise TypeError(f"unknown policy: {policy!r}")
+class _Shape(NamedTuple):
+    """How a policy dispatches a job.
+
+    ``fanout`` servers are probed and split, in draw order, into groups
+    of ``group``; each group sends a task to its ``picks`` least loaded
+    servers (ties to the earliest drawn), and the job is done after
+    ``needed`` completions.  A redundant request is groups of one.
+    """
+
+    fanout: int
+    group: int
+    picks: int
+    needed: int
+
+    @property
+    def tasks(self) -> int:
+        return self.fanout // self.group * self.picks
 
 
-def _tasks_per_job(policy: Policy) -> int:
-    if isinstance(policy, NaiveReplication):
-        return 1
-    if isinstance(policy, RedundantRequest):
-        return policy.k + policy.extra
-    return policy.k
+_SHAPES = {
+    NaiveReplication: lambda p: _Shape(p.d, p.d, 1, 1),
+    KSplit: lambda p: _Shape(p.k * p.d, p.d, 1, p.k),
+    LeastKOfN: lambda p: _Shape(p.n, p.n, p.k, p.k),
+    BatchSampling: lambda p: _Shape(p.n, p.n, p.k, p.k),
+    RedundantRequest: lambda p: _Shape(p.k + p.extra, 1, 1, p.k),
+}
 
 
-def _completions_needed(policy: Policy) -> int:
-    if isinstance(policy, RedundantRequest):
-        return policy.k
-    return _tasks_per_job(policy)
-
-
-def _split_count(policy: Policy) -> int:
-    return 1 if isinstance(policy, NaiveReplication) else policy.k
+def _shape(policy: Policy) -> _Shape:
+    try:
+        return _SHAPES[type(policy)](policy)
+    except KeyError:
+        raise TypeError(f"unknown policy: {policy!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +205,18 @@ class ClusterConfig:
             raise ValueError(f"engine must be 'auto', 'fast' or 'event', got {self.engine!r}")
         if self.engine == "fast" and isinstance(self.policy, RedundantRequest):
             raise ValueError("the fast engine cannot purge; use engine='event' or 'auto'")
+        shape = _shape(self.policy)
         if self.L is None:
-            object.__setattr__(self, "L", max(2000, 200 * _split_count(self.policy)))
-        if self.L < _fanout(self.policy):
+            object.__setattr__(self, "L", max(2000, 200 * shape.needed))
+        if self.L < shape.fanout:
             raise ValueError(
-                f"cluster of {self.L} servers cannot host a policy probing "
-                f"{_fanout(self.policy)}"
+                f"cluster of {self.L} servers cannot host a policy probing {shape.fanout}"
             )
         if self.warmup_jobs is None:
             object.__setattr__(self, "warmup_jobs", 20 * self.L)
         if self.measured_jobs is None:
             object.__setattr__(
-                self, "measured_jobs", max(1, 1_000_000 // _tasks_per_job(self.policy))
+                self, "measured_jobs", max(1, 1_000_000 // shape.tasks)
             )
         if self.warmup_jobs < 0:
             raise ValueError(f"warmup_jobs must be nonnegative, got {self.warmup_jobs}")
@@ -241,6 +251,13 @@ class GainResult:
     replicated: LatencyStats
     split: LatencyStats
 
+    @classmethod
+    def of(cls, replicated: LatencyStats, split: LatencyStats) -> GainResult:
+        """Replicated minus split mean; the standard errors add in
+        quadrature, which overstates the error of the matched difference."""
+        return cls(replicated.mean - split.mean, math.hypot(replicated.std_err, split.std_err),
+                   replicated, split)
+
 
 # ---------------------------------------------------------------------------
 # shared randomness plumbing
@@ -248,55 +265,63 @@ class GainResult:
 _BLOCK = 8192
 
 
-class _Stream:
-    """Sequential sampler drawing fixed-size blocks from one generator.
+def _blocks(draw, rng):
+    """Endless blocks of ``_BLOCK`` values, one generator call each."""
+    while True:
+        yield np.asarray(draw(rng, _BLOCK), dtype=float)
 
-    Both engines must call ``take``/``take1`` in the same order with
-    the same sizes; the block size is fixed so the underlying call
-    pattern (hence the generator state) depends only on that order.
-    Selection candidates come in blocks too, from ``_draw_distinct``.
+
+class _Stream:
+    """Sequential reader of an endless iterator of blocks.
+
+    Each generator only ever sees whole-block calls, made in order, so
+    the values a stream yields depend on neither how many are taken at
+    a time nor when: the engines and the lockstep lanes read the same
+    numbers however they slice them.  Blocks may be rows (candidates).
     """
 
-    __slots__ = ("_rng", "_draw", "_buf", "_pos")
+    __slots__ = ("_blocks", "_buf", "_pos")
 
-    def __init__(self, rng, draw):
-        self._rng = rng
-        self._draw = draw
-        self._buf = np.asarray(draw(rng, _BLOCK), dtype=float)
-        self._pos = 0
-
-    def _refill(self, need: int):
-        rest = self._buf[self._pos:]
-        fresh = np.asarray(self._draw(self._rng, max(_BLOCK, need)), dtype=float)
-        self._buf = np.concatenate([rest, fresh])
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self._buf = next(blocks)
         self._pos = 0
 
     def take(self, m: int) -> np.ndarray:
-        if self._pos + m > self._buf.size:
-            self._refill(m)
+        if self._pos + m > len(self._buf):
+            parts = [self._buf[self._pos:]]
+            have = len(parts[0])
+            while have < m:
+                parts.append(next(self._blocks))
+                have += len(parts[-1])
+            self._buf = np.concatenate(parts)
+            self._pos = 0
         out = self._buf[self._pos : self._pos + m]
         self._pos += m
         return out
 
     def take1(self) -> float:
-        if self._pos >= self._buf.size:
-            self._refill(1)
+        if self._pos >= len(self._buf):
+            self._buf = next(self._blocks)
+            self._pos = 0
         v = self._buf[self._pos]
         self._pos += 1
         return float(v)
 
 
-def _draw_distinct(rng, n_servers: int, m: int):
-    """Endless uniform ordered samples of m of L servers, a block per generator call.
+def _candidate_blocks(rng, n_servers: int, m: int):
+    """Endless blocks of uniform ordered samples of m of L servers, one row per job.
 
-    Rows are drawn with replacement and any row that repeats a server is
-    redrawn whole: about m exp(m(m-1)/2L) draws per row.  Where that
-    reaches L, each row is the head of a shuffle of all L servers instead.
+    A block of about ``_BLOCK // m`` rows is drawn with replacement and
+    any row that repeats a server is redrawn whole: about
+    m exp(m(m-1)/2L) draws per row.  Where that reaches L, each row is
+    the head of a shuffle of all L servers instead.
     """
     rows = max(1, _BLOCK // m)
     if m * (m - 1) / (2 * n_servers) > math.log(n_servers / m):
+        everyone = np.tile(np.arange(n_servers), (rows, 1))
         while True:
-            yield from rng.permuted(np.tile(np.arange(n_servers), (rows, 1)), axis=1)[:, :m].tolist()
+            yield rng.permuted(everyone, axis=1)[:, :m]
     while True:
         block = rng.integers(0, n_servers, size=(rows, m))
         redo = np.arange(rows)
@@ -304,6 +329,12 @@ def _draw_distinct(rng, n_servers: int, m: int):
             srt = np.sort(block[redo], axis=1)
             redo = redo[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
             block[redo] = rng.integers(0, n_servers, size=(redo.size, m))
+        yield block
+
+
+def _draw_distinct(rng, n_servers: int, m: int):
+    """The rows of ``_candidate_blocks``, one list per job."""
+    for block in _candidate_blocks(rng, n_servers, m):
         yield from block.tolist()
 
 
@@ -315,69 +346,47 @@ def _make_selector(policy: Policy, n_servers: int, rng):
     without favoring low server indices.  Both engines consume the same
     blocks of candidate rows from one ``_draw_distinct`` per run.
     """
-    rows = _draw_distinct(rng, n_servers, _fanout(policy))
-    if isinstance(policy, NaiveReplication):
-        d = policy.d
-
+    fanout, group, picks, _ = _shape(policy)
+    rows = _draw_distinct(rng, n_servers, fanout)
+    if picks > 1:  # the least loaded picks of one group
         def select(qlen):
             cand = next(rows)
             q = [qlen(s) for s in cand]
-            best = 0
-            for i in range(1, d):
+            order = sorted(range(fanout), key=q.__getitem__)  # stable sort keeps draw order
+            return [cand[i] for i in order[:picks]], q
+
+        return select
+
+    def select(qlen):  # the least loaded of each group
+        cand = next(rows)
+        q = [qlen(s) for s in cand]
+        if group == 1:
+            return cand, q
+        chosen = []
+        for base in range(0, fanout, group):
+            best = base
+            for i in range(base + 1, base + group):
                 if q[i] < q[best]:
                     best = i
-            return (cand[best],), q
+            chosen.append(cand[best])
+        return chosen, q
 
-        return select
-    if isinstance(policy, KSplit):
-        k, d = policy.k, policy.d
-
-        def select(qlen):
-            cand = next(rows)
-            q = [qlen(s) for s in cand]
-            chosen = []
-            for base in range(0, k * d, d):
-                best = base
-                for i in range(base + 1, base + d):
-                    if q[i] < q[best]:
-                        best = i
-                chosen.append(cand[best])
-            return chosen, q
-
-        return select
-    if isinstance(policy, (LeastKOfN, BatchSampling)):
-        n, k = policy.n, policy.k
-
-        def select(qlen):
-            cand = next(rows)
-            q = [qlen(s) for s in cand]
-            order = sorted(range(n), key=q.__getitem__)  # stable sort keeps draw order
-            return [cand[i] for i in order[:k]], q
-
-        return select
-    if isinstance(policy, RedundantRequest):
-        def select(qlen):
-            cand = next(rows)
-            return cand, [qlen(s) for s in cand]
-
-        return select
-    raise TypeError(f"unknown policy: {policy!r}")
+    return select
 
 
 def _streams(config: ClusterConfig):
+    """(arrival gaps, selection generator, service draws) of one run."""
     ss = np.random.SeedSequence(entropy=int(config.seed))
     arr_seed, sel_seed, svc_seed = ss.spawn(3)
     rate = config.L * config.lam
     if isinstance(config.policy, BatchSampling):
         rate /= config.policy.k
     scale = 1.0 / rate
-    arrivals = _Stream(
-        np.random.default_rng(arr_seed), lambda rng, m: rng.exponential(scale, m)
-    )
+    arrivals = _Stream(_blocks(
+        lambda rng, m: rng.exponential(scale, m), np.random.default_rng(arr_seed)))
     select_rng = np.random.default_rng(sel_seed)
-    service = _Stream(
-        np.random.default_rng(svc_seed), lambda rng, m: dists.sample(config.service, rng, m)
-    )
+    service = _Stream(_blocks(
+        lambda rng, m: dists.sample(config.service, rng, m), np.random.default_rng(svc_seed)))
     return arrivals, select_rng, service
 
 
@@ -390,7 +399,7 @@ def _run_fast(config: ClusterConfig):
     total = warmup + measured
     arrivals, sel_rng, service = _streams(config)
     select = _make_selector(config.policy, L, sel_rng)
-    n_tasks = _tasks_per_job(config.policy)
+    n_tasks = _shape(config.policy).tasks
 
     pending = [deque() for _ in range(L)]  # undeparted task departure times
     last_dep = [0.0] * L
@@ -411,15 +420,13 @@ def _run_fast(config: ClusterConfig):
         svc = service.take(n_tasks)
         worst = 0.0
         for i in range(n_tasks):
+            # chosen servers were just probed at t, so their departed tasks are gone
             s = chosen[i]
-            dq = pending[s]
-            while dq and dq[0] <= t:
-                dq.popleft()
             start = last_dep[s]
             if start < t:
                 start = t
             dep = start + float(svc[i])
-            dq.append(dep)
+            pending[s].append(dep)
             last_dep[s] = dep
             if dep > worst:
                 worst = dep
@@ -431,6 +438,115 @@ def _run_fast(config: ClusterConfig):
                     cap = q + 1
                 counts[q] += 1
     return lat, counts
+
+
+# ---------------------------------------------------------------------------
+# lockstep lanes: many fast-engine runs advanced together, one job per numpy step
+
+_LOCKSTEP_MIN_LANES = 6  # smaller groups run faster one by one
+_RING = 8  # initial slots per server for pending departures; doubled on demand
+_CHUNK = 64  # jobs whose draws are gathered, and whose outputs are summed, at once
+_BYTE_SUM = np.uint64(0x0101010101010101)  # times a word of 0/1 bytes: their sum in the top byte
+
+
+def _grow(ring: np.ndarray, wp: np.ndarray) -> np.ndarray:
+    """Double every server's ring, oldest departure first; nothing is dropped."""
+    depth = ring.shape[1]
+    grown = np.zeros((len(ring), 2 * depth))
+    grown[:, :depth] = np.take_along_axis(ring, (wp[:, None] + np.arange(depth)) % depth, axis=1)
+    wp[:] = depth
+    return grown
+
+
+def _run_lanes(configs: Sequence[ClusterConfig]):
+    """``run`` of fast-engine configs sharing warmup and measured counts, all at once.
+
+    Each lane has its own streams and servers: rows of one ring of every
+    server's last ``depth`` departures, so a queue length is the count of
+    slots ahead of t (the strict ``dep > t`` rule); a write over a slot
+    still ahead of t doubles the depth first.  Selection is a stable
+    argsort of (group id, queue length), then the policy's positions.
+    Lanes are padded to a common width with columns at private dummy
+    servers that sort last and get zero-service padding tasks.
+    """
+    R = len(configs)
+    warmup, measured = configs[0].warmup_jobs, configs[0].measured_jobs
+    shapes = [_shape(c.policy) for c in configs]
+    K = max(sh.tasks for sh in shapes)
+    W = max(sh.fanout + K - sh.tasks for sh in shapes)
+    offsets = np.cumsum([0] + [c.L for c in configs])
+    servers = int(offsets[-1]) + R * W
+    template = servers - R * W + np.arange(R * W).reshape(R, W)  # dummy servers
+    gid = np.full((R, W), W, dtype=np.uint64)
+    pick = np.empty((R, K), dtype=np.int64)
+    real = np.zeros((R, W), dtype=bool)
+    lanes = []
+    for r, (config, sh) in enumerate(zip(configs, shapes)):
+        gid[r, : sh.fanout] = np.arange(sh.fanout) // sh.group
+        real[r, : sh.fanout] = True
+        starts = np.arange(0, sh.fanout, sh.group)[:, None]
+        pick[r, : sh.tasks] = (starts + np.arange(sh.picks)).ravel()
+        pick[r, sh.tasks :] = np.arange(W - K + sh.tasks, W)  # padding columns, sorted last
+        arrivals, sel_rng, service = _streams(config)
+        rows = _Stream(_candidate_blocks(sel_rng, config.L, sh.fanout))
+        lanes.append((arrivals, rows, service, sh, offsets[r]))
+    pick = (np.arange(R)[:, None] * W + pick).ravel()
+    row_base = np.repeat(np.arange(R) * W, K)
+    lane_of_real = np.nonzero(real)[0]
+
+    depth = _RING
+    ring = np.zeros((servers, depth))
+    wp = np.zeros(servers, dtype=np.int64)
+    last = np.zeros(servers)
+    key_base = gid * (depth + 1)
+    lat = np.empty((R, measured))
+    counts = np.zeros((R, 1), dtype=np.int64)
+    total = warmup + measured
+    # chunk buffers, reused: padding columns and padding services stay put
+    t, t_task = np.zeros((_CHUNK + 1, R)), np.empty((_CHUNK, R, K))
+    cand = np.empty((_CHUNK, R, W), dtype=np.int64)
+    cand[:] = template
+    svc = np.zeros((_CHUNK, R, K))
+    qs = np.empty((_CHUNK, R, W), dtype=np.uint64)
+    deps = np.empty((_CHUNK, R * K))
+    for j0 in range(0, total, _CHUNK):
+        J = min(_CHUNK, total - j0)
+        t[0] = t[_CHUNK]
+        for r, (arrivals, rows, service, sh, offset) in enumerate(lanes):
+            t[1 : J + 1, r] = arrivals.take(J)
+            cand[:J, r, : sh.fanout] = rows.take(J) + offset
+            svc[:J, r, : sh.tasks] = service.take(J * sh.tasks).reshape(J, sh.tasks)
+        np.add.accumulate(t[: J + 1], axis=0, out=t[: J + 1])  # sequential, as the engines add gaps
+        t_probe = t[1:, :, None]
+        t_task[:] = t_probe
+        flat_task, flat_svc = t_task.reshape(_CHUNK, R * K), svc.reshape(_CHUNK, R * K)
+        for j in range(J):
+            c, q, dep = cand[j], qs[j], deps[j]
+            ahead = ring.take(c, axis=0).reshape(R, -1) > t_probe[j]
+            if depth == 8:  # a server's eight flags are the bytes of one word: sum them
+                np.right_shift(ahead.view(np.uint64) * _BYTE_SUM, 56, out=q)
+            else:
+                np.sum(ahead.reshape(R, W, depth), axis=-1, out=q)
+            s = c.take(row_base + (key_base + q).argsort(axis=1, kind="stable").take(pick))
+            if q.max() == depth and (ring[s, wp[s]] > flat_task[j]).any():
+                ring = _grow(ring, wp)
+                depth = ring.shape[1]
+                key_base = gid * (depth + 1)
+            w = wp[s]
+            np.maximum(last[s], flat_task[j], out=dep)
+            dep += flat_svc[j]
+            ring[s, w] = dep
+            wp[s] = (w + 1) % depth
+            last[s] = dep
+        first = max(warmup - j0, 0)
+        if first < J:
+            done = j0 + first - warmup
+            worst = deps[first:J].reshape(-1, R, K).max(-1)
+            lat[:, done : done + J - first] = (worst - t[first + 1 : J + 1]).T
+            counts = np.pad(counts, ((0, 0), (0, depth + 1 - counts.shape[1])))
+            codes = qs[first:J, real].astype(np.int64) + lane_of_real * (depth + 1)
+            counts += np.bincount(codes.ravel(), minlength=R * (depth + 1)).reshape(R, depth + 1)
+    return [_build_stats(lat[r], counts[r], c.keep_samples) for r, c in enumerate(configs)]
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +585,13 @@ def _run_event(config: ClusterConfig):
     check = config.check_invariants
     arrivals, sel_rng, service = _streams(config)
     select = _make_selector(config.policy, L, sel_rng)
-    n_tasks = _tasks_per_job(config.policy)
-    needed = _completions_needed(config.policy)
+    shape = _shape(config.policy)
+    n_tasks, needed = shape.tasks, shape.needed
     purging = isinstance(config.policy, RedundantRequest)
 
-    queues = [deque() for _ in range(L)]
+    queues = [deque() for _ in range(L)]  # may still hold cancelled tasks
     current: list[_Task | None] = [None] * L
+    live = [0] * L  # tasks queued or in service, cancelled ones excluded
     heap: list[tuple] = []
     seq = 0
     lat = np.empty(measured)
@@ -497,7 +614,10 @@ def _run_event(config: ClusterConfig):
         current[s] = None
 
     def qlen(s):
-        return len(queues[s]) + (current[s] is not None)
+        n = live[s]
+        if check and n != sum(not x.cancelled for x in queues[s]) + (current[s] is not None):
+            raise AssertionError("probed queue length differs from its live tasks")
+        return n
 
     seq += 1
     heapq.heappush(heap, (arrivals.take1(), 1, seq, 0))
@@ -516,6 +636,7 @@ def _run_event(config: ClusterConfig):
                 s = chosen[i]
                 task = _Task(job, float(svc[i]), s)
                 tasks.append(task)
+                live[s] += 1
                 if current[s] is None:
                     current[s] = task
                     seq += 1
@@ -541,6 +662,7 @@ def _run_event(config: ClusterConfig):
         if check and t < task.job.t + task.svc - 1e-9:
             raise AssertionError("task finished before its service demand")
         task.done = True
+        live[s] -= 1
         start_next(s, t)
         if check and current[s] is None and queues[s]:
             raise AssertionError("idle server with queued work")
@@ -559,6 +681,7 @@ def _run_event(config: ClusterConfig):
                     if sib.done or sib.cancelled:
                         continue
                     sib.cancelled = True
+                    live[sib.server] -= 1
                     if current[sib.server] is sib:
                         start_next(sib.server, t)
 
@@ -606,6 +729,12 @@ def _build_stats(lat: np.ndarray, counts: list[int], keep: bool) -> LatencyStats
     )
 
 
+def _engine(config: ClusterConfig) -> str:
+    if config.engine == "auto":
+        return "event" if isinstance(config.policy, RedundantRequest) else "fast"
+    return config.engine
+
+
 def run(config: ClusterConfig) -> LatencyStats:
     """Simulate one cluster and summarize the measured jobs.
 
@@ -615,14 +744,30 @@ def run(config: ClusterConfig) -> LatencyStats:
     same config (same seed) yields bit-identical statistics regardless
     of engine for every policy the fast engine supports.
     """
-    engine = config.engine
-    if engine == "auto":
-        engine = "event" if isinstance(config.policy, RedundantRequest) else "fast"
-    lat, counts = _run_event(config) if engine == "event" else _run_fast(config)
+    lat, counts = _run_event(config) if _engine(config) == "event" else _run_fast(config)
     return _build_stats(lat, counts, config.keep_samples)
 
 
-def gain_experiment(
+def run_many(configs: Sequence[ClusterConfig]) -> list[LatencyStats]:
+    """``[run(c) for c in configs]``, bit for bit, with sweeps run as lockstep lanes.
+
+    Fast-engine configs that share warmup and measured job counts
+    advance together, one job per numpy step, when there are at least
+    ``_LOCKSTEP_MIN_LANES`` of them; every other config goes through
+    ``run``.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, config in enumerate(configs):
+        if _engine(config) == "fast":
+            groups.setdefault((config.warmup_jobs, config.measured_jobs), []).append(i)
+    out = {}
+    for idx in groups.values():
+        if len(idx) >= _LOCKSTEP_MIN_LANES:
+            out.update(zip(idx, _run_lanes([configs[i] for i in idx])))
+    return [out[i] if i in out else run(config) for i, config in enumerate(configs)]
+
+
+def gain_arms(
     k: int,
     d: int,
     lam: float,
@@ -635,28 +780,30 @@ def gain_experiment(
     L: int | None = None,
     warmup_jobs: int | None = None,
     measured_jobs: int = 20_000,
-) -> GainResult:
-    """Simulated gain of a k-way split over d-choice whole-file dispatch.
+) -> tuple[ClusterConfig, ClusterConfig]:
+    """The (replicated, split) configs of a k-way split against d-choice dispatch.
 
     Both arms run on the same seed (shared arrival epochs) and the same
     cluster size; the replicated arm serves whole files via
     ``NaiveReplication(d)``, the split arm serves mean-1/k chunks via
-    ``LeastKOfN(d*k, k)``.  At k = 1 the arms coincide and the gain is
-    exactly zero.  The combined standard error adds the arms' errors in
-    quadrature, which overstates the error of the matched difference.
+    ``LeastKOfN(d*k, k)``.
     """
     full, chunk = dists.service_pair(family, k, shift=shift, shape=shape, unit_mean=unit_mean)
     if L is None:
         L = max(2000, 200 * k)
     common = dict(L=L, seed=seed, warmup_jobs=warmup_jobs, measured_jobs=measured_jobs)
-    replicated = run(ClusterConfig(lam, NaiveReplication(d), full, **common))
-    split = run(ClusterConfig(lam, LeastKOfN(d * k, k), chunk, **common))
-    return GainResult(
-        gain=replicated.mean - split.mean,
-        std_err=math.hypot(replicated.std_err, split.std_err),
-        replicated=replicated,
-        split=split,
-    )
+    return (ClusterConfig(lam, NaiveReplication(d), full, **common),
+            ClusterConfig(lam, LeastKOfN(d * k, k), chunk, **common))
+
+
+def gain_experiment(k: int, d: int, lam: float, family: str = "exponential", seed: int = 0,
+                    **options) -> GainResult:
+    """Simulated gain of a k-way split over d-choice whole-file dispatch.
+
+    Runs the two ``gain_arms`` (same keyword options).  At k = 1 the
+    arms coincide and the gain is exactly zero.
+    """
+    return GainResult.of(*run_many(gain_arms(k, d, lam, family, seed, **options)))
 
 
 def empirical_residual(
@@ -681,13 +828,10 @@ def empirical_residual(
         warmup = jobs // 10
     ss = np.random.SeedSequence(entropy=int(seed))
     arr_seed, _, svc_seed = ss.spawn(3)
-    arrivals = _Stream(
-        np.random.default_rng(arr_seed),
-        lambda rng, m: rng.exponential(1.0 / arrival_rate, m),
-    )
-    svc = _Stream(
-        np.random.default_rng(svc_seed), lambda rng, m: dists.sample(service, rng, m)
-    )
+    arrivals = _Stream(_blocks(
+        lambda rng, m: rng.exponential(1.0 / arrival_rate, m), np.random.default_rng(arr_seed)))
+    svc = _Stream(_blocks(
+        lambda rng, m: dists.sample(service, rng, m), np.random.default_rng(svc_seed)))
 
     pending = deque()
     last_dep = 0.0

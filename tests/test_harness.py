@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from codedlat import cli, harness
+from codedlat import cli, harness, simulator
 from codedlat import distributions as dists
 from codedlat.distributions import Exponential
 from codedlat.simulator import ClusterConfig, KSplit
@@ -101,6 +101,28 @@ def test_serial_and_parallel_runs_yield_identical_csv():
     parallel = harness.render_csv(harness.run_sweep(SMALL_SPEC, workers=3))
     assert serial == again
     assert serial == parallel
+
+
+# every sweep kind that simulates, at sizes where run_sweep forms lockstep
+# groups both serially and in each of three workers' shares
+LANE_SPECS = [
+    harness.SweepSpec("gain-sweep", (0.3, 0.6, 0.9), ((4, 2, 2), (6, 3, 2), (9, 3, 3)),
+                      "weibull", shape=1.5, L=200, seed=5, warmup_jobs=300, measured_jobs=1_500),
+    harness.SweepSpec("bound-check", (0.5, 0.7, 0.9), ((4, 2, 2), (6, 3, 2)), "shifted-exponential",
+                      shift=0.1, L=200, seed=6, warmup_jobs=300, measured_jobs=1_500),
+    harness.SweepSpec("tail-check", (0.5, 0.7, 0.9), ((4, 2, 2), (6, 3, 2)), "exponential",
+                      L=200, seed=7, warmup_jobs=300, measured_jobs=1_500),
+    harness.SweepSpec("batch-sampling", (0.6, 0.7, 0.85), ((5, 4, 1), (7, 5, 1)), "exponential",
+                      L=200, seed=8, warmup_jobs=300, measured_jobs=1_500),
+]
+
+
+@pytest.mark.parametrize("spec", LANE_SPECS, ids=lambda spec: spec.experiment)
+def test_lockstep_sweep_csv_matches_scalar_and_parallel_runs(spec, monkeypatch):
+    lanes = harness.render_csv(harness.run_sweep(spec))
+    assert lanes == harness.render_csv(harness.run_sweep(spec, workers=3))
+    monkeypatch.setattr(harness, "run_many", lambda configs: [simulator.run(c) for c in configs])
+    assert lanes == harness.render_csv(harness.run_sweep(spec))
 
 
 def test_rows_sorted_and_pass_flags_recomputable():
@@ -310,6 +332,23 @@ def test_cli_simulate_smoke(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "mean =" in out and "jobs = 2000" in out
+
+
+def test_cli_invalid_arguments_exit_2(capsys):
+    assert cli.main(["simulate", "--policy", "naive", "--d", "1", "--lambda", "0.5"]) == 2
+    assert cli.main(["sweep", "--experiment", "gain-sweep", "--k", "2", "--lambda", "0.5",
+                     "--dist", "shifted-exponential", "--shift", "1.5"]) == 2
+    assert cli.main(["sweep", "--experiment", "bound-check", "--k", "two", "--lambda", "0.5"]) == 2
+    assert capsys.readouterr().err.count("config error") == 3
+
+
+def test_cli_error_inside_a_simulation_is_not_a_config_error(monkeypatch):
+    def broken(config):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(cli, "run", broken)
+    with pytest.raises(ValueError, match="engine fault"):
+        cli.main(["simulate", "--policy", "naive", "--lambda", "0.5", "--L", "100"])
 
 
 def test_cli_simulate_invalid_lambda_exits_2(capsys):

@@ -7,6 +7,7 @@ from scipy.stats import chisquare
 
 from codedlat.bounds import harmonic, redundant_request_latency, residual_moment
 from codedlat.distributions import Constant, Exponential, ShiftedExponential, Weibull
+from codedlat import simulator
 from codedlat.simulator import (
     BatchSampling,
     ClusterConfig,
@@ -18,6 +19,7 @@ from codedlat.simulator import (
     empirical_residual,
     gain_experiment,
     run,
+    run_many,
 )
 
 
@@ -106,6 +108,80 @@ def test_engines_agree_on_both_candidate_paths(policy, service, L):
     assert run(config) == run(replace(config, engine="event"))
 
 
+def _lanes():
+    """Configs mixing every non-purging policy, two laws, three loads and two cluster
+    sizes (L = 6 shuffles candidate rows, L = 2000 redraws them), 10,000 jobs each."""
+    policies = [
+        (NaiveReplication(d=2), Exponential(rate=1.0)),
+        (NaiveReplication(d=3), Weibull(shape=1.5, scale=1.0)),
+        (KSplit(k=3, d=2), Exponential(rate=3.0)),
+        (LeastKOfN(n=6, k=3), Weibull(shape=1.5, scale=0.3)),
+        (BatchSampling(n=5, k=4), Exponential(rate=1.0)),
+    ]
+    return [
+        ClusterConfig(lam=lam, policy=policy, service=service, L=L, seed=17 * i + j,
+                      warmup_jobs=3_000, measured_jobs=7_000, keep_samples=True)
+        for i, (policy, service) in enumerate(policies)
+        for j, (lam, L) in enumerate([(0.3, 2000), (0.6, 6), (0.9, 2000)])
+    ]
+
+
+def _lockstep_only(monkeypatch):
+    def scalar(config):
+        raise AssertionError("a lane ran on the scalar engine")
+
+    monkeypatch.setattr(simulator, "_run_fast", scalar)
+
+
+def test_lockstep_lanes_equal_scalar_runs(monkeypatch):
+    configs = _lanes()
+    assert configs[0].warmup_jobs + configs[0].measured_jobs > simulator._BLOCK
+    want = [run(c) for c in configs]
+    _lockstep_only(monkeypatch)
+    got = run_many(configs)
+    assert got == want
+    for a, b in zip(got, want):
+        assert np.array_equal(a.samples, b.samples)
+
+
+def test_lockstep_lanes_equal_event_engine():
+    configs = _lanes()[::2]
+    assert run_many(configs) == [run(replace(c, engine="event")) for c in configs]
+
+
+def test_ring_overflow_grows_and_stays_exact(monkeypatch):
+    # LeastKOfN(4, 4) has no choice: each server is an M/M/1 queue at
+    # load 0.9, whose length passes 1, 2, 4, 8 and 16 within the run
+    configs = _lanes() + [
+        ClusterConfig(lam=0.9, policy=LeastKOfN(n=4, k=4), service=Exponential(rate=4.0),
+                      L=40, seed=s, warmup_jobs=3_000, measured_jobs=7_000, keep_samples=True)
+        for s in range(2)
+    ]
+    want = [run(c) for c in configs]
+    depths = []
+    real_grow = simulator._grow
+
+    def grow(ring, wp):
+        depths.append(ring.shape[1])
+        return real_grow(ring, wp)
+
+    monkeypatch.setattr(simulator, "_RING", 1)
+    monkeypatch.setattr(simulator, "_grow", grow)
+    _lockstep_only(monkeypatch)
+    assert run_many(configs) == want
+    assert depths[:5] == [1, 2, 4, 8, 16]
+    assert max(q for stats in want for q, _ in stats.queue_ccdf) >= 16
+
+
+def test_run_many_keeps_order_across_engines_and_groups():
+    configs = _lanes()[:7] + [
+        _config(RedundantRequest(k=2, extra=1), Exponential(rate=2.0), measured_jobs=2_000),
+        _config(KSplit(k=2, d=2), Exponential(rate=2.0), measured_jobs=2_000, engine="event"),
+        _config(KSplit(k=2, d=2), Exponential(rate=2.0), measured_jobs=3_000),
+    ]
+    assert run_many(configs) == [run(c) for c in configs]
+
+
 def test_identical_config_is_bit_identical():
     config = _config(KSplit(k=2, d=2), Exponential(rate=2.0), lam=0.7, seed=9)
     assert run(config) == run(config)
@@ -160,6 +236,18 @@ def test_event_engine_invariants():
         )
         stats = run(config)
         assert stats.job_count == 4_000
+
+
+def test_probed_queue_lengths_count_only_live_tasks():
+    # purged siblings may still sit in a queue; check_invariants compares
+    # every probed length with the live tasks of that server
+    config = ClusterConfig(
+        lam=0.5, policy=RedundantRequest(k=4, extra=4), service=Exponential(rate=4.0),
+        L=2000, seed=1, warmup_jobs=2_000, measured_jobs=5_000,
+        engine="event", check_invariants=True,
+    )
+    stats = run(config)
+    assert stats == run(replace(config, check_invariants=False))
 
 
 def test_redundant_request_needs_event_engine():
