@@ -15,8 +15,9 @@ Flags mirror the config keys (``--lambda``, ``--n``, ``--k``, ``--d``,
 ``--dist``, ``--shape``, ``--shift``, ``--L``, ``--seed``, ...).  When
 ``--out`` is omitted, files land under ``$CODEDLAT_OUT`` (default
 current directory).  Exit status: 0 success, 1 failed comparison or
-any other failure, 2 configuration error (bad flags or config file);
-errors raised while simulating are not configuration errors.
+any other failure, 2 configuration error (bad flags, an unreadable
+config file or an unwritable output path); errors raised while
+simulating are not configuration errors.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def _spec_from_args(args) -> harness.SweepSpec:
     if args.config:
         try:
             return harness.load_config(args.config)
-        except (OSError, UnicodeDecodeError) as exc:
+        except UnicodeDecodeError as exc:
             raise harness.ConfigError(f"cannot read config: {exc}") from None
     if args.preset:
         return harness.preset(args.preset, seed=args.seed)
@@ -298,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return _cmd_sweep(args, gate=True)
         return _cmd_figures(args)
-    except harness.ConfigError as exc:
+    except (harness.ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

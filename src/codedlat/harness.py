@@ -124,11 +124,15 @@ class SweepSpec:
             self._check_code(n, k, d)
         if self.experiment in ("tail-check", "batch-sampling") and fam != "exponential":
             raise ConfigError(f"dist.family '{fam}' unsupported for {self.experiment}")
-        try:  # the service laws and the bounds' envelopes exist before anything runs
+        if self.experiment == "tail-check" and min(self.lam_grid) <= _TAIL_EPSILON:
+            raise ConfigError(f"tail-check needs every lambda above the tail budget {_TAIL_EPSILON}")
+        try:  # the service laws, and the envelopes and moments the bounds use, exist up front
             for k in sorted({k for _, k, _ in self.codes}):
-                chunk = dists.service_pair(fam, max(k, 1), shift=self.shift, shape=self.shape)[1]
+                full, chunk = dists.service_pair(fam, max(k, 1), shift=self.shift, shape=self.shape)
                 if self.experiment in ("gain-sweep", "bound-check") and fam != "exponential":
                     dists.subexp_params(chunk)
+                if self.experiment == "residual-check":
+                    bounds.residual_moment(full, 1)
         except ValueError as exc:
             raise ConfigError(f"dist: {exc}") from None
         if self.L is not None and self.L < 1:
@@ -142,6 +146,8 @@ class SweepSpec:
         kind = self.experiment
         if kind == "residual-check":
             return
+        if self.L is not None and self.L < n:
+            raise ConfigError(f"code ({n},{k},{d}): sim.L = {self.L} servers cannot host fanout {n}")
         if kind == "batch-sampling":
             if not k < n < 2 * k:
                 raise ConfigError(f"code ({n},{k}): batch sampling needs k < n < 2k")
@@ -462,39 +468,43 @@ _ROWS = {
 }
 
 
-def _point_rows(args: tuple) -> list[ComparisonRow]:
-    spec, code, lam, seed, m_k, stats = args
-    return _ROWS[spec.experiment](spec, code, lam, seed, m_k, stats)
+# measured jobs whose latencies one share of a sweep holds at once: 8 MB
+_SHARE_JOBS = 1 << 20
+
+
+def _share_rows(args: tuple) -> list[ComparisonRow]:
+    """Simulate the points of one share together as lockstep lanes, then build their rows."""
+    spec, points, configs, residual_max = args
+    stats = iter(run_many([config for point in configs for config in point]))
+    return [row for (code, lam, seed), point in zip(points, configs)
+            for row in _ROWS[spec.experiment](spec, code, lam, seed, residual_max.get(code[1]),
+                                              [next(stats) for _ in point])]
 
 
 def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> list[ComparisonRow]:
     """Execute every grid point and return rows sorted by coordinates.
 
-    The simulations of all points (both arms of a gain point) go to
-    ``run_many`` at once, so a sweep's runs advance as lockstep lanes;
-    bounds and rows then follow point by point.  ``workers`` > 1 hands
-    each worker process one contiguous share of the simulations, then
-    fans the points out; each point owns a seed derived from
+    The points are cut into contiguous shares of equal size, each
+    holding at most ``_SHARE_JOBS`` measured jobs unless one point alone
+    holds more; the simulations of a share (both arms of a gain point)
+    go to ``run_many`` at once, so they advance as lockstep lanes, and
+    its bounds and rows follow.  ``workers`` > 1 cuts at least one share
+    per worker process; each point owns a seed derived from
     (spec.seed, point index), so the result is identical to the serial run.
     """
     residual_max = _residual_max(spec)
     grid = [(code, lam) for code in spec.codes for lam in spec.lam_grid]
     points = [(code, lam, _point_seed(spec.seed, i)) for i, (code, lam) in enumerate(grid)]
     configs = [_point_configs(spec, *point) for point in points]
-    flat = [config for point in configs for config in point]
-
-    def tasks(stats):
-        pending = iter(stats)
-        return [(spec, code, lam, seed, residual_max.get(code[1]), [next(pending) for _ in point])
-                for (code, lam, seed), point in zip(points, configs)]
-
+    jobs = max(sum(config.measured_jobs for config in point) for point in configs)
+    size = max(1, min(-(-len(points) // max(1, workers or 1)), _SHARE_JOBS // max(1, jobs)))
+    shares = [(spec, points[i : i + size], configs[i : i + size], residual_max)
+              for i in range(0, len(points), size)]
     if workers is not None and workers > 1:
-        size = max(1, -(-len(flat) // workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shares = pool.map(run_many, [flat[i : i + size] for i in range(0, len(flat), size)])
-            chunks = list(pool.map(_point_rows, tasks(s for share in shares for s in share)))
+            chunks = list(pool.map(_share_rows, shares))
     else:
-        chunks = [_point_rows(task) for task in tasks(run_many(flat))]
+        chunks = [_share_rows(share) for share in shares]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=ComparisonRow.sort_key)
     return rows

@@ -288,13 +288,8 @@ class _Stream:
         self._pos = 0
 
     def take(self, m: int) -> np.ndarray:
-        if self._pos + m > len(self._buf):
-            parts = [self._buf[self._pos:]]
-            have = len(parts[0])
-            while have < m:
-                parts.append(next(self._blocks))
-                have += len(parts[-1])
-            self._buf = np.concatenate(parts)
+        while self._pos + m > len(self._buf):
+            self._buf = np.concatenate((self._buf[self._pos :], next(self._blocks)))
             self._pos = 0
         out = self._buf[self._pos : self._pos + m]
         self._pos += m
@@ -446,7 +441,6 @@ def _run_fast(config: ClusterConfig):
 _LOCKSTEP_MIN_LANES = 6  # smaller groups run faster one by one
 _RING = 8  # initial slots per server for pending departures; doubled on demand
 _CHUNK = 64  # jobs whose draws are gathered, and whose outputs are summed, at once
-_BYTE_SUM = np.uint64(0x0101010101010101)  # times a word of 0/1 bytes: their sum in the top byte
 
 
 def _grow(ring: np.ndarray, wp: np.ndarray) -> np.ndarray:
@@ -477,13 +471,11 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
     offsets = np.cumsum([0] + [c.L for c in configs])
     servers = int(offsets[-1]) + R * W
     template = servers - R * W + np.arange(R * W).reshape(R, W)  # dummy servers
-    gid = np.full((R, W), W, dtype=np.uint64)
+    gid = np.full((R, W), W)
     pick = np.empty((R, K), dtype=np.int64)
-    real = np.zeros((R, W), dtype=bool)
     lanes = []
     for r, (config, sh) in enumerate(zip(configs, shapes)):
         gid[r, : sh.fanout] = np.arange(sh.fanout) // sh.group
-        real[r, : sh.fanout] = True
         starts = np.arange(0, sh.fanout, sh.group)[:, None]
         pick[r, : sh.tasks] = (starts + np.arange(sh.picks)).ravel()
         pick[r, sh.tasks :] = np.arange(W - K + sh.tasks, W)  # padding columns, sorted last
@@ -492,6 +484,7 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
         lanes.append((arrivals, rows, service, sh, offsets[r]))
     pick = (np.arange(R)[:, None] * W + pick).ravel()
     row_base = np.repeat(np.arange(R) * W, K)
+    real = gid < W
     lane_of_real = np.nonzero(real)[0]
 
     depth = _RING
@@ -507,7 +500,7 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
     cand = np.empty((_CHUNK, R, W), dtype=np.int64)
     cand[:] = template
     svc = np.zeros((_CHUNK, R, K))
-    qs = np.empty((_CHUNK, R, W), dtype=np.uint64)
+    qs = np.empty((_CHUNK, R, W), dtype=np.int64)
     deps = np.empty((_CHUNK, R * K))
     for j0 in range(0, total, _CHUNK):
         J = min(_CHUNK, total - j0)
@@ -522,11 +515,7 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
         flat_task, flat_svc = t_task.reshape(_CHUNK, R * K), svc.reshape(_CHUNK, R * K)
         for j in range(J):
             c, q, dep = cand[j], qs[j], deps[j]
-            ahead = ring.take(c, axis=0).reshape(R, -1) > t_probe[j]
-            if depth == 8:  # a server's eight flags are the bytes of one word: sum them
-                np.right_shift(ahead.view(np.uint64) * _BYTE_SUM, 56, out=q)
-            else:
-                np.sum(ahead.reshape(R, W, depth), axis=-1, out=q)
+            np.sum(ring.take(c, axis=0) > t_probe[j, :, :, None], axis=-1, out=q)
             s = c.take(row_base + (key_base + q).argsort(axis=1, kind="stable").take(pick))
             if q.max() == depth and (ring[s, wp[s]] > flat_task[j]).any():
                 ring = _grow(ring, wp)
@@ -544,7 +533,7 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
             worst = deps[first:J].reshape(-1, R, K).max(-1)
             lat[:, done : done + J - first] = (worst - t[first + 1 : J + 1]).T
             counts = np.pad(counts, ((0, 0), (0, depth + 1 - counts.shape[1])))
-            codes = qs[first:J, real].astype(np.int64) + lane_of_real * (depth + 1)
+            codes = qs[first:J, real] + lane_of_real * (depth + 1)
             counts += np.bincount(codes.ravel(), minlength=R * (depth + 1)).reshape(R, depth + 1)
     return [_build_stats(lat[r], counts[r], c.keep_samples) for r, c in enumerate(configs)]
 
@@ -613,11 +602,13 @@ def _run_event(config: ClusterConfig):
             return
         current[s] = None
 
-    def qlen(s):
+    def checked_qlen(s):
         n = live[s]
-        if check and n != sum(not x.cancelled for x in queues[s]) + (current[s] is not None):
+        if n != sum(not x.cancelled for x in queues[s]) + (current[s] is not None):
             raise AssertionError("probed queue length differs from its live tasks")
         return n
+
+    qlen = checked_qlen if check else live.__getitem__
 
     seq += 1
     heapq.heappush(heap, (arrivals.take1(), 1, seq, 0))

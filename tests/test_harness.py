@@ -103,8 +103,8 @@ def test_serial_and_parallel_runs_yield_identical_csv():
     assert serial == parallel
 
 
-# every sweep kind that simulates, at sizes where run_sweep forms lockstep
-# groups both serially and in each of three workers' shares
+# every sweep kind that simulates, at sizes where a serial run_sweep forms
+# one lockstep group
 LANE_SPECS = [
     harness.SweepSpec("gain-sweep", (0.3, 0.6, 0.9), ((4, 2, 2), (6, 3, 2), (9, 3, 3)),
                       "weibull", shape=1.5, L=200, seed=5, warmup_jobs=300, measured_jobs=1_500),
@@ -121,6 +121,16 @@ LANE_SPECS = [
 def test_lockstep_sweep_csv_matches_scalar_and_parallel_runs(spec, monkeypatch):
     lanes = harness.render_csv(harness.run_sweep(spec))
     assert lanes == harness.render_csv(harness.run_sweep(spec, workers=3))
+    held = []
+
+    def spy(configs):
+        held.append(sum(c.measured_jobs for c in configs))
+        return simulator.run_many(configs)
+
+    monkeypatch.setattr(harness, "run_many", spy)
+    monkeypatch.setattr(harness, "_SHARE_JOBS", 3 * spec.measured_jobs)
+    assert lanes == harness.render_csv(harness.run_sweep(spec))
+    assert len(held) > 1 and max(held) <= harness._SHARE_JOBS
     monkeypatch.setattr(harness, "run_many", lambda configs: [simulator.run(c) for c in configs])
     assert lanes == harness.render_csv(harness.run_sweep(spec))
 
@@ -334,12 +344,23 @@ def test_cli_simulate_smoke(capsys):
     assert "mean =" in out and "jobs = 2000" in out
 
 
-def test_cli_invalid_arguments_exit_2(capsys):
+def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    sweeps = [
+        ["--experiment", "gain-sweep", "--k", "2", "--lambda", "0.5",
+         "--dist", "shifted-exponential", "--shift", "1.5"],
+        ["--experiment", "bound-check", "--k", "two", "--lambda", "0.5"],
+        ["--experiment", "bound-check", "--k", "4", "--d", "3", "--L", "5", "--lambda", "0.5"],
+        ["--experiment", "tail-check", "--k", "2", "--lambda", "0.005"],
+        ["--experiment", "residual-check", "--lambda", "0.5", "--dist", "pareto", "--shape", "1.5"],
+        ["--experiment", "residual-check", "--lambda", "0.5", "--measured-jobs", "2000",
+         "--out", str(blocker / "out.csv")],
+    ]
     assert cli.main(["simulate", "--policy", "naive", "--d", "1", "--lambda", "0.5"]) == 2
-    assert cli.main(["sweep", "--experiment", "gain-sweep", "--k", "2", "--lambda", "0.5",
-                     "--dist", "shifted-exponential", "--shift", "1.5"]) == 2
-    assert cli.main(["sweep", "--experiment", "bound-check", "--k", "two", "--lambda", "0.5"]) == 2
-    assert capsys.readouterr().err.count("config error") == 3
+    for argv in sweeps:
+        assert cli.main(["sweep", *argv]) == 2, argv
+    assert capsys.readouterr().err.count("config error") == 1 + len(sweeps)
 
 
 def test_cli_error_inside_a_simulation_is_not_a_config_error(monkeypatch):
