@@ -9,7 +9,6 @@ sweep harness plus CLI that checks the two against each other
 
 from .distributions import (
     Constant,
-    DistClass,
     Exponential,
     Pareto,
     ServiceDistribution,
@@ -17,19 +16,16 @@ from .distributions import (
     SubExpParams,
     Weibull,
     chunk_dist,
-    classify,
     mean,
     mgf,
     moment,
     sample,
-    second_moment,
     service_pair,
     subexp_params,
 )
 
 __all__ = [
     "Constant",
-    "DistClass",
     "Exponential",
     "Pareto",
     "ServiceDistribution",
@@ -37,12 +33,10 @@ __all__ = [
     "SubExpParams",
     "Weibull",
     "chunk_dist",
-    "classify",
     "mean",
     "mgf",
     "moment",
     "sample",
-    "second_moment",
     "service_pair",
     "subexp_params",
 ]

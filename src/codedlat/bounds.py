@@ -49,6 +49,7 @@ __all__ = [
     "residual_moment",
     "mean_latency_bound_exp",
     "mean_latency_bound_general",
+    "mean_latency_bound",
     "tail_latency_bound",
     "zero_load_latency",
     "zero_load_gain",
@@ -259,6 +260,31 @@ def mean_latency_bound_general(
             "miss_prob": k ** (-3.0),
         },
     )
+
+
+def mean_latency_bound(
+    family: str,
+    k: int,
+    lam: float,
+    *,
+    shift: float = 0.0,
+    shape: float = 1.0,
+    m_k: float | None = None,
+    strict: bool = True,
+) -> BoundReport:
+    """The mean latency bound that fits the service family, k-way split.
+
+    Exponential chunks take ``mean_latency_bound_exp``; every other
+    family takes ``mean_latency_bound_general`` with the chunk law's
+    sub-exponential envelope and residual-max term M(k) (``m_k``, or
+    computed from the chunk law).
+    """
+    fam = canonical_family(family)
+    if fam == "exponential":
+        return mean_latency_bound_exp(k, lam, strict=strict)
+    chunk = chunk_dist(fam, k, shift=shift, shape=shape)
+    return mean_latency_bound_general(
+        k, lam, dists.subexp_params(chunk), m_k=m_k, dist=chunk, strict=strict)
 
 
 def tail_latency_bound(k: int, lam: float, epsilon: float, t: float) -> float:
@@ -510,7 +536,7 @@ def theoretical_gain(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(90,)))
     model = DoubleExpTailModel(lam=lam, d=float(d), per_queue_load=lam)
     q = sample_queue_length(model, rng, int(samples))
-    full, chunk = dists.service_pair(fam, k, shift=shift, shape=shape)
+    full, _ = dists.service_pair(fam, k, shift=shift, shape=shape)
     pool = dists.sample(full, rng, int(q.sum()))
     csum = np.concatenate(([0.0], np.cumsum(pool)))
     ends = np.cumsum(q)
@@ -518,11 +544,7 @@ def theoretical_gain(
     replicated_proxy = float(sums.mean())
     std_err = float(sums.std(ddof=1) / math.sqrt(len(sums)))
 
-    if fam == "exponential":
-        report = mean_latency_bound_exp(k, lam, strict=False)
-    else:
-        params = dists.subexp_params(chunk)
-        report = mean_latency_bound_general(k, lam, params, m_k=m_k, dist=chunk, strict=False)
+    report = mean_latency_bound(fam, k, lam, shift=shift, shape=shape, m_k=m_k, strict=False)
     return GainBound(
         value=replicated_proxy - report.value,
         std_err=std_err,

@@ -5,14 +5,15 @@ Subcommands:
 * ``simulate``  one cluster run, prints latency statistics.
 * ``bound``     one bound evaluation, prints value, branch, and the
                 auxiliary terms needed to recompute it.
-* ``sweep``     executes a sweep spec (config file, preset, or inline
-                flags) and writes the comparison CSV.
+* ``sweep``     executes a sweep spec (a preset, or a config file and/or
+                inline flags) and writes the comparison CSV.
 * ``compare``   like sweep, but exits 1 unless every row passes.
 * ``figures``   emits the preset sweeps as plot-ready CSV files; exits 1
                 if any row fails.
 
-Flags mirror the config keys (``--lambda``, ``--n``, ``--k``, ``--d``,
-``--dist``, ``--shape``, ``--shift``, ``--L``, ``--seed``, ...).  When
+Sweep flags set config keys (``--lambda`` sets ``lambda.grid``, ``--k``
+sets ``code.k``, ...): they join a ``--config`` file's lines as entries
+of one spec, and a key set twice is an error.  When
 ``--out`` is omitted, files land under ``$CODEDLAT_OUT`` (default
 current directory).  Exit status: 0 success, 1 failed comparison or
 any other failure, 2 configuration error (bad flags, an unreadable
@@ -42,20 +43,22 @@ from .simulator import (
 _OUT_ENV = "CODEDLAT_OUT"
 
 
-def _parse_lambda_grid(text: str) -> tuple[float, ...]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise harness.ConfigError(f"bad --lambda value '{text}'") from None
-
-
-def _int_list(text: str) -> list[int]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise harness.ConfigError(f"bad integer list '{text}'") from None
+# sweep flags: (flag, the config key it sets, help)
+_SPEC_FLAGS = (
+    ("--experiment", "experiment",
+     "gain-sweep, bound-check, tail-check, batch-sampling or residual-check"),
+    ("--lambda", "lambda.grid", "comma-separated loads"),
+    ("--n", "code.n", "fanout list"),
+    ("--k", "code.k", "split count list"),
+    ("--d", "code.d", "choices / replicas list"),
+    ("--dist", "dist.family", "service family (exponential, shifted-exponential, weibull, pareto)"),
+    ("--shape", "dist.shape", "Weibull shape"),
+    ("--shift", "dist.shift", "additive shift"),
+    ("--L", "sim.L", "server count"),
+    ("--seed", "sim.seed", "base seed (default: 0 or the preset's)"),
+    ("--warmup-jobs", "sim.warmup_jobs", "warmup jobs per run"),
+    ("--measured-jobs", "sim.measured_jobs", "measured jobs per run"),
+)
 
 
 def _add_dist_flags(parser: argparse.ArgumentParser) -> None:
@@ -63,13 +66,6 @@ def _add_dist_flags(parser: argparse.ArgumentParser) -> None:
                         help="service family (exponential, shifted-exponential, weibull, pareto)")
     parser.add_argument("--shape", type=float, default=1.0, help="dist.shape")
     parser.add_argument("--shift", type=float, default=0.0, help="dist.shift")
-
-
-def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--L", type=int, default=None, help="sim.L (server count)")
-    parser.add_argument("--seed", type=int, default=None, help="sim.seed (default: 0 or the preset's)")
-    parser.add_argument("--warmup-jobs", type=int, default=None, help="sim.warmup_jobs")
-    parser.add_argument("--measured-jobs", type=int, default=None, help="sim.measured_jobs")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,7 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--d", type=int, default=2, help="code.d (choices / replicas)")
     sim.add_argument("--extra", type=int, default=1, help="redundant tasks beyond k")
     _add_dist_flags(sim)
-    _add_sim_flags(sim)
+    sim.add_argument("--L", type=int, default=None, help="server count")
+    sim.add_argument("--seed", type=int, default=0, help="seed")
+    sim.add_argument("--warmup-jobs", type=int, default=None)
+    sim.add_argument("--measured-jobs", type=int, default=None)
 
     bnd = sub.add_parser("bound", help="evaluate one analytical bound")
     bnd.add_argument("--k", type=int, required=True)
@@ -107,15 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sw.add_argument("--config", default=None, help="path to a key=value sweep config")
         sw.add_argument("--preset", default=None, choices=sorted(harness.PRESETS),
                         help="named preset sweep")
-        sw.add_argument("--experiment", default=None, choices=(
-            "gain-sweep", "bound-check", "tail-check", "batch-sampling", "residual-check"))
-        sw.add_argument("--lambda", dest="lam", default=None,
-                        help="lambda.grid, comma-separated")
-        sw.add_argument("--n", default=None, help="code.n list")
-        sw.add_argument("--k", default=None, help="code.k list")
-        sw.add_argument("--d", default=None, help="code.d list")
-        _add_dist_flags(sw)
-        _add_sim_flags(sw)
+        for flag, key, help_text in _SPEC_FLAGS:
+            # --seed also picks a preset's seed, which takes no other entry
+            sw.add_argument(flag, dest=key, type=int if key == "sim.seed" else str,
+                            default=None, help=f"{key}: {help_text}")
         sw.add_argument("--out", default=None, help="output CSV path")
         sw.add_argument("--jobs", type=int, default=None, help="parallel worker processes")
 
@@ -164,7 +158,7 @@ def _cmd_simulate(args) -> int:
             policy=_policy_from_args(args),
             service=_service_from_args(args),
             L=args.L,
-            seed=args.seed or 0,
+            seed=args.seed,
             warmup_jobs=args.warmup_jobs,
             measured_jobs=args.measured_jobs,
         )
@@ -195,49 +189,22 @@ def _cmd_bound(args) -> int:
         print(f"value = {value:.6g}")
         print(f"P(latency > {args.t:g}) <= {value:.6g}")
         return 0
-    family = dists.canonical_family(args.dist)
-    strict = not args.loose
-    if family == "exponential":
-        report = bounds.mean_latency_bound_exp(args.k, args.lam, strict=strict)
-    else:
-        chunk = dists.chunk_dist(family, args.k, shift=args.shift, shape=args.shape)
-        report = bounds.mean_latency_bound_general(
-            args.k, args.lam, dists.subexp_params(chunk), dist=chunk, strict=strict)
-    _print_report(report)
+    _print_report(bounds.mean_latency_bound(args.dist, args.k, args.lam, shift=args.shift,
+                                            shape=args.shape, strict=not args.loose))
     return 0
 
 
 def _spec_from_args(args) -> harness.SweepSpec:
-    chosen = [flag for flag in ("config", "preset", "experiment") if getattr(args, flag)]
-    if len(chosen) != 1:
-        raise harness.ConfigError("choose exactly one of --config, --preset, --experiment")
-    if args.config:
-        try:
-            return harness.load_config(args.config)
-        except UnicodeDecodeError as exc:
-            raise harness.ConfigError(f"cannot read config: {exc}") from None
+    """A preset alone, or the entries of --config and of the spec flags merged."""
+    flags = [(key, flag, str(vars(args)[key])) for flag, key, _ in _SPEC_FLAGS
+             if vars(args)[key] is not None]
     if args.preset:
-        return harness.preset(args.preset, seed=args.seed)
-    codes = harness._align_codes(
-        args.experiment,
-        _int_list(args.n) if args.n else [],
-        _int_list(args.k) if args.k else [],
-        _int_list(args.d) if args.d else [],
-    )
-    if not args.lam:
-        raise harness.ConfigError("lambda grid empty")
-    return harness.SweepSpec(
-        experiment=args.experiment,
-        lam_grid=_parse_lambda_grid(args.lam),
-        codes=codes,
-        family=args.dist,
-        shape=args.shape,
-        shift=args.shift,
-        L=args.L,
-        seed=args.seed or 0,
-        warmup_jobs=args.warmup_jobs,
-        measured_jobs=args.measured_jobs,
-    )
+        stray = ["--config"] if args.config else [flag for key, flag, _ in flags if key != "sim.seed"]
+        if stray:
+            raise harness.ConfigError(f"--preset takes no {stray[0]} (only --seed)")
+        return harness.preset(args.preset, seed=vars(args)["sim.seed"])
+    file_entries = harness.config_entries(args.config) if args.config else []
+    return harness.build_spec([*file_entries, *flags])
 
 
 def _out_path(args, spec: harness.SweepSpec) -> str:

@@ -4,18 +4,17 @@ Four families cover the regimes of interest: ``Exponential`` and
 ``ShiftedExponential`` admit closed forms everywhere, ``Weibull``
 needs the gamma function for moments and adaptive quadrature for its
 moment generating function, and ``Pareto`` is polynomially tailed and
-only participates in sampling, moments and tail classification.  A
+only participates in sampling and moments.  A
 degenerate ``Constant`` rounds the set out for control experiments.
 
 All families expose the same free-function surface: ``sample``,
-``mean`` / ``second_moment`` / ``moment``, ``mgf``, plus the helpers
-used by the bounds layer (``subexp_params``, ``classify``) and by the
-experiment builders (``chunk_dist``, ``service_pair``).
+``mean`` / ``moment``, ``mgf``, plus the helpers used by the bounds
+layer (``subexp_params``) and by the experiment builders
+(``chunk_dist``, ``service_pair``).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -31,17 +30,14 @@ __all__ = [
     "Pareto",
     "ServiceDistribution",
     "SubExpParams",
-    "DistClass",
     "sample",
     "moment",
     "mean",
-    "second_moment",
     "mgf",
     "mgf_domain_sup",
     "chunk_dist",
     "service_pair",
     "subexp_params",
-    "classify",
 ]
 
 
@@ -128,14 +124,6 @@ class SubExpParams:
             raise ValueError(f"envelope parameters must be nonnegative: {self}")
 
 
-class DistClass(enum.Enum):
-    """Tail taxonomy used to decide which latency machinery applies."""
-
-    CLASS_I = "class-i"          # MGF finite on an open interval around 0
-    CLASS_II = "class-ii"        # polynomial tail decaying fast enough for d choices
-    UNCLASSIFIED = "unclassified"
-
-
 def sample(dist: ServiceDistribution, rng: np.random.Generator, size=None):
     """Draw from ``dist`` using ``rng``; scalar when ``size`` is None.
 
@@ -186,10 +174,6 @@ def moment(dist: ServiceDistribution, order: int) -> float:
 
 def mean(dist: ServiceDistribution) -> float:
     return moment(dist, 1)
-
-
-def second_moment(dist: ServiceDistribution) -> float:
-    return moment(dist, 2)
 
 
 def mgf_domain_sup(dist: ServiceDistribution) -> float:
@@ -393,24 +377,4 @@ def subexp_params(dist: ServiceDistribution) -> SubExpParams:
         return SubExpParams(tau_sq=env * env, b=env)
     if isinstance(dist, Pareto):
         raise ValueError("Pareto is heavy tailed and has no sub-exponential envelope")
-    raise TypeError(f"not a service distribution: {dist!r}")
-
-
-def classify(dist: ServiceDistribution, d: int) -> DistClass:
-    """Assign the tail class that decides which latency results apply.
-
-    CLASS_I: MGF finite for some s > 0 (exponential families, Weibull
-    with shape >= 1).  CLASS_II: polynomial tail with exponent strictly
-    above d/(d-1), the critical decay for d-fold choice.  Anything else
-    is UNCLASSIFIED.
-    """
-    if d < 2 or d != int(d):
-        raise ValueError(f"choice count d must be an integer >= 2, got {d}")
-    if isinstance(dist, (Constant, Exponential, ShiftedExponential)):
-        return DistClass.CLASS_I
-    if isinstance(dist, Weibull):
-        return DistClass.CLASS_I if dist.shape >= 1.0 else DistClass.UNCLASSIFIED
-    if isinstance(dist, Pareto):
-        critical = d / (d - 1.0)
-        return DistClass.CLASS_II if dist.exponent > critical else DistClass.UNCLASSIFIED
     raise TypeError(f"not a service distribution: {dist!r}")

@@ -24,14 +24,16 @@ Experiment kinds and their pass rules (tolerances are one-sided at
 * ``residual-check``  busy-server residual; passes when it matches the
                       renewal formula within 2 percent.
 
-Config files are flat UTF-8 ``key=value`` lines; ``#`` starts a
-comment.  Recognized keys: ``experiment``, ``lambda.grid``,
+:func:`build_spec` builds a spec from ``key=value`` entries: the lines
+of a flat UTF-8 config file (``#`` starts a comment) and the CLI's
+sweep flags alike.  Recognized keys: ``experiment``, ``lambda.grid``,
 ``code.n``, ``code.k``, ``code.d``, ``dist.family``, ``dist.shape``,
 ``dist.shift``, ``sim.L``, ``sim.seed``, ``sim.warmup_jobs``,
 ``sim.measured_jobs``, ``out.path``.  ``code.*`` accept
-comma-separated aligned lists (scalars broadcast); omitted ``sim.*``
-keys fall back to the simulator defaults (L = max(2000, 200 * splits),
-warmup = 20 * L).
+comma-separated aligned lists (scalars broadcast); ``dist.*`` default
+to exponential, shape 1, shift 0 and ``sim.seed`` to 0; omitted
+``sim.*`` keys fall back to the simulator defaults
+(L = max(2000, 200 * splits), warmup = 20 * L).
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ __all__ = [
     "ConfigError",
     "PRESETS",
     "SweepSpec",
+    "build_spec",
+    "config_entries",
     "load_config",
     "run_sweep",
     "write_csv",
@@ -214,67 +218,45 @@ _CONFIG_KEYS = (
 )
 
 
-def _parse_scalar(key: str, raw: str, kind: type, line_no: int):
+def _parse(key: str, where: str, raw: str, kind: type):
     try:
         return kind(raw)
     except ValueError:
-        raise ConfigError(
-            f"line {line_no}: key '{key}' expects {kind.__name__}, got '{raw}'"
-        ) from None
+        raise ConfigError(f"{where}: key '{key}' expects {kind.__name__}, got '{raw}'") from None
 
 
-def _parse_list(key: str, raw: str, kind: type, line_no: int) -> list:
-    parts = [p for chunk in raw.split(",") for p in chunk.split()]
-    return [_parse_scalar(key, p, kind, line_no) for p in parts]
+def build_spec(entries: Iterable[tuple[str, str, str]]) -> SweepSpec:
+    """Build a validated SweepSpec from (key, where, raw text) entries.
 
-
-def load_config(path: str | os.PathLike) -> SweepSpec:
-    """Parse a flat key=value sweep config into a validated SweepSpec."""
-    seen: dict[str, tuple[int, str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"line {line_no}: expected key=value, got '{text}'")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"line {line_no}: unknown key '{key}'")
-            if key in seen:
-                raise ConfigError(
-                    f"line {line_no}: duplicate key '{key}' (first set on line {seen[key][0]})"
-                )
-            seen[key] = (line_no, value)
-
-    def value_of(key: str) -> tuple[int, str] | None:
-        return seen.get(key)
-
-    got = value_of("experiment")
-    if got is None:
-        raise ConfigError("missing key 'experiment'")
-    experiment = got[1]
-
-    got = value_of("lambda.grid")
-    lam_grid = tuple(_parse_list("lambda.grid", got[1], float, got[0])) if got else ()
-
-    def int_list(key: str) -> list[int]:
-        got = value_of(key)
-        return _parse_list(key, got[1], int, got[0]) if got else []
-
-    ns, ks, ds = int_list("code.n"), int_list("code.k"), int_list("code.d")
-    codes = _align_codes(experiment, ns, ks, ds)
+    The one builder behind config files and CLI flags: ``where`` names
+    the entry's source ("line N" or "--flag") in parse errors, and each
+    key may be set once across all entries, so a flag that repeats a
+    file's key is a duplicate like a repeated line.  Omitted keys take
+    the defaults listed in the module docstring.
+    """
+    seen: dict[str, tuple[str, str]] = {}
+    for key, where, raw in entries:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{where}: unknown key '{key}'")
+        if key in seen:
+            raise ConfigError(f"{where}: duplicate key '{key}' (first set on {seen[key][0]})")
+        seen[key] = (where, raw)
 
     def scalar(key: str, kind: type, default):
-        got = value_of(key)
-        return _parse_scalar(key, got[1], kind, got[0]) if got else default
+        return _parse(key, *seen[key], kind) if key in seen else default
 
+    def values(key: str, kind: type) -> list:
+        where, raw = seen.get(key, ("", ""))
+        return [_parse(key, where, p, kind) for chunk in raw.split(",") for p in chunk.split()]
+
+    experiment = scalar("experiment", str, None)
+    if experiment is None:
+        raise ConfigError("missing key 'experiment'")
     return SweepSpec(
         experiment=experiment,
-        lam_grid=lam_grid,
-        codes=codes,
+        lam_grid=tuple(values("lambda.grid", float)),
+        codes=_align_codes(experiment, values("code.n", int), values("code.k", int),
+                           values("code.d", int)),
         family=scalar("dist.family", str, "exponential"),
         shape=scalar("dist.shape", float, 1.0),
         shift=scalar("dist.shift", float, 0.0),
@@ -284,6 +266,30 @@ def load_config(path: str | os.PathLike) -> SweepSpec:
         measured_jobs=scalar("sim.measured_jobs", int, None),
         out_path=scalar("out.path", str, None),
     )
+
+
+def config_entries(path: str | os.PathLike) -> list[tuple[str, str, str]]:
+    """The (key, "line N", raw text) entries of a flat key=value config file."""
+    entries = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    for line_no, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"line {line_no}: expected key=value, got '{text}'")
+        key, _, raw = text.partition("=")
+        entries.append((key.strip(), f"line {line_no}", raw.strip()))
+    return entries
+
+
+def load_config(path: str | os.PathLike) -> SweepSpec:
+    """Parse a flat key=value sweep config into a validated SweepSpec."""
+    return build_spec(config_entries(path))
 
 
 def _align_codes(
@@ -312,8 +318,8 @@ def _align_codes(
     ds_b = broadcast("code.d", ds)
     codes = []
     for n, k, d in zip(ns_b, ks_b, ds_b):
-        if k is None:
-            raise ConfigError("missing key 'code.k'")
+        if k < 1:
+            raise ConfigError(f"code.k must be positive, got {k}")
         if d is None and n is not None and n % k == 0 and n // k >= 2:
             d = n // k
         if d is None:
@@ -330,14 +336,6 @@ def _align_codes(
 def _point_seed(base: int, index: int) -> int:
     seq = np.random.SeedSequence(entropy=int(base), spawn_key=(index,))
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _mean_bound(spec: SweepSpec, k: int, lam: float, m_k: float | None) -> bounds.BoundReport:
-    if spec.family == "exponential":
-        return bounds.mean_latency_bound_exp(k, lam, strict=False)
-    chunk = dists.chunk_dist(spec.family, k, shift=spec.shift, shape=spec.shape)
-    params = dists.subexp_params(chunk)
-    return bounds.mean_latency_bound_general(k, lam, params, m_k=m_k, dist=chunk, strict=False)
 
 
 def _residual_max(spec: SweepSpec) -> dict[int, float]:
@@ -388,7 +386,8 @@ def _gain_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None, 
 def _bound_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None, stats) -> list[ComparisonRow]:
     n, k, d = code
     (stats,) = stats
-    report = _mean_bound(spec, k, lam, m_k)
+    report = bounds.mean_latency_bound(spec.family, k, lam, shift=spec.shift, shape=spec.shape,
+                                       m_k=m_k, strict=False)
     passed = stats.mean <= report.value + 3.0 * stats.std_err
     aux_a = report.auxiliary.get("residual_max")
     aux_b = report.auxiliary.get("phi")

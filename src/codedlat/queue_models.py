@@ -24,7 +24,6 @@ __all__ = [
     "batch_sampling_pmf",
     "order_stat_expectation",
     "sum_order_stats",
-    "effective_arrival_rate",
     "pmf_mean",
 ]
 
@@ -168,20 +167,3 @@ def sum_order_stats(pmf, sample_count: int) -> float:
     if n < 1:
         raise ValueError(f"sample count must be positive, got {sample_count}")
     return n * pmf_mean(pmf)
-
-
-def effective_arrival_rate(lam: float, d: float, m: int, pmf) -> float:
-    """State-dependent arrival rate into queues currently holding m tasks.
-
-    lam * (P(Y >= m)^d - P(Y >= m+1)^d) / P(Y = m); requires the state
-    to have positive probability.
-    """
-    arr = _as_pmf(pmf)
-    if not 0 <= m < arr.size:
-        raise ValueError(f"state {m} outside pmf support 0..{arr.size - 1}")
-    if arr[m] <= 0.0:
-        raise ValueError(f"state {m} has zero probability; rate undefined")
-    ccdf = 1.0 - np.concatenate(([0.0], np.cumsum(arr)))
-    upper = ccdf[m] ** d
-    lower = ccdf[m + 1] ** d if m + 1 < ccdf.size else 0.0
-    return lam * (upper - lower) / float(arr[m])

@@ -13,6 +13,7 @@ from codedlat.distributions import (
     SubExpParams,
     Weibull,
     chunk_dist,
+    subexp_params,
 )
 
 RNG_SEED = 477051
@@ -146,6 +147,24 @@ def test_mean_bound_general_constant_envelope_collapses():
 def test_mean_bound_general_needs_residual_source():
     with pytest.raises(ValueError):
         bounds.mean_latency_bound_general(4, 0.9, SubExpParams(0.1, 0.1))
+
+
+@pytest.mark.parametrize("family,shift,shape", [
+    ("exponential", 0.0, 1.0), ("shifted-exponential", 0.1, 1.0), ("weibull", 0.0, 1.5),
+])
+def test_mean_latency_bound_picks_the_family_form(family, shift, shape):
+    report = bounds.mean_latency_bound(family, 4, 0.9, shift=shift, shape=shape)
+    if family == "exponential":
+        assert report == bounds.mean_latency_bound_exp(4, 0.9)
+    else:
+        chunk = chunk_dist(family, 4, shift=shift, shape=shape)
+        general = bounds.mean_latency_bound_general(4, 0.9, subexp_params(chunk), dist=chunk)
+        assert report == general
+        assert bounds.mean_latency_bound(family, 4, 0.9, shift=shift, shape=shape, m_k=0.5) == \
+            bounds.mean_latency_bound_general(4, 0.9, subexp_params(chunk), m_k=0.5)
+    with pytest.raises(ValueError, match="lam > 1/k"):
+        bounds.mean_latency_bound(family, 4, 0.2, shift=shift, shape=shape)
+    assert bounds.mean_latency_bound(family, 4, 0.2, shift=shift, shape=shape, strict=False).value > 0
 
 
 def test_mean_bound_general_negative_level_uses_linear_branch():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from codedlat.distributions import (
     Constant,
-    DistClass,
     Exponential,
     Pareto,
     ShiftedExponential,
@@ -14,7 +13,6 @@ from codedlat.distributions import (
     Weibull,
     canonical_family,
     chunk_dist,
-    classify,
     mean,
     mgf,
     mgf_domain_sup,
@@ -121,16 +119,6 @@ def test_exponential_envelope_bounds_centered_mgf_below_zero():
     for s in np.linspace(-1.0 / p.b, 0.0, 12):
         centered = math.exp(-s * mean(d)) * mgf(d, s)
         assert centered <= math.exp(s * s * p.tau_sq / 2.0) + 1e-12
-
-
-def test_classify():
-    assert classify(Exponential(rate=1.0), 2) is DistClass.CLASS_I
-    assert classify(Weibull(shape=1.0, scale=1.0), 2) is DistClass.CLASS_I
-    assert classify(Weibull(shape=0.7, scale=1.0), 2) is DistClass.UNCLASSIFIED
-    assert classify(Pareto(exponent=3.0, minimum=1.0), 2) is DistClass.CLASS_II
-    # polynomial tail at the critical exponent is not classified
-    assert classify(Pareto(exponent=1.8, minimum=1.0), 2) is DistClass.UNCLASSIFIED
-    assert classify(Pareto(exponent=1.8, minimum=1.0), 5) is DistClass.CLASS_II
 
 
 def test_canonical_family_aliases():

@@ -81,6 +81,8 @@ def test_minimal_config_defers_to_simulator_defaults(tmp_path):
          "dist.family = weibull\n", "unsupported for tail-check"),
         ("experiment = gain-sweep\nlambda.grid = 0.5\ncode.n = 7\ncode.k = 3\ncode.d = 2\n",
          "fanout n must equal d*k"),
+        ("experiment = gain-sweep\nlambda.grid = 0.5\ncode.n = 4\ncode.k = 0\n",
+         "code.k must be positive"),
     ],
 )
 def test_config_errors(tmp_path, text, needle):
@@ -348,6 +350,8 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     sweeps = [
+        ["--preset", "fig5", "--L", "5", "--measured-jobs", "10"],
+        ["--experiment", "gain-sweep", "--n", "4", "--k", "0", "--lambda", "0.5"],
         ["--experiment", "gain-sweep", "--k", "2", "--lambda", "0.5",
          "--dist", "shifted-exponential", "--shift", "1.5"],
         ["--experiment", "bound-check", "--k", "two", "--lambda", "0.5"],
@@ -378,3 +382,40 @@ def test_cli_simulate_invalid_lambda_exits_2(capsys):
     ])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one spec path for config files and flags
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def sweep_spec(argv):
+    return cli._spec_from_args(cli._build_parser().parse_args(["sweep", *argv]))
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_config_file_and_its_flags_build_the_same_spec(name):
+    path = os.path.join(CONFIG_DIR, name)
+    flag_of = {key: flag for flag, key, _ in cli._SPEC_FLAGS}
+    argv = [arg for key, _, raw in harness.config_entries(path) for arg in (flag_of[key], raw)]
+    assert sweep_spec(argv) == harness.load_config(path)
+
+
+def test_cli_flags_fill_keys_the_config_lacks(tmp_path):
+    cfg = write(tmp_path, "experiment = bound-check\nlambda.grid = 0.5, 0.7\ncode.d = 3\n")
+    spec = sweep_spec(["--config", cfg, "--seed", "5", "--L", "50", "--k", "8"])
+    assert (spec.seed, spec.L, spec.codes) == (5, 50, ((24, 8, 3),))
+    assert spec.lam_grid == (0.5, 0.7)
+
+
+def test_cli_flag_repeating_a_config_key_names_both_places(tmp_path, capsys):
+    cfg = write(tmp_path, "experiment = bound-check\nlambda.grid = 0.5\ncode.k = 4\nsim.L = 100\n")
+    assert cli.main(["sweep", "--config", cfg, "--L", "50"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --L: duplicate key 'sim.L'" in err and "line 4" in err
+
+
+def test_cli_bad_flag_value_names_the_flag(capsys):
+    assert cli.main(["sweep", "--experiment", "bound-check", "--k", "two", "--lambda", "0.5"]) == 2
+    assert "--k: key 'code.k' expects int, got 'two'" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from codedlat.queue_models import (
     DoubleExpTailModel,
     batch_sampling_pmf,
     double_exp_ccdf,
-    effective_arrival_rate,
     order_stat_expectation,
     pmf_mean,
     sample_queue_length,
@@ -125,21 +124,6 @@ def test_order_stats_sum_identity_and_monotonicity(pmf, n):
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
     assert sum(values) == pytest.approx(sum_order_stats(arr, n), abs=1e-9)
     assert sum_order_stats(arr, n) == pytest.approx(n * pmf_mean(arr), abs=1e-12)
-
-
-def test_effective_arrival_rate_flow_conservation():
-    # summing the state-dependent rates against the pmf recovers lam
-    b = batch_sampling_pmf(0.85, 1.4)
-    total = sum(
-        effective_arrival_rate(b.lam, b.probe_ratio, m, b) * b.pmf[m]
-        for m in range(b.q_max + 1)
-    )
-    assert total == pytest.approx(0.85, abs=1e-12)
-
-
-def test_effective_arrival_rate_rejects_null_state():
-    with pytest.raises(ValueError):
-        effective_arrival_rate(0.5, 1.4, 1, [1.0, 0.0])
 
 
 def test_model_validation():
