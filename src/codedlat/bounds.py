@@ -65,14 +65,12 @@ class BoundReport:
     """A bound value plus enough context to recompute it.
 
     ``branch`` names the active formula (Phi1..Phi4, BoundI-tight,
-    BoundI-loose, BoundII); ``inputs`` echoes the call, ``auxiliary``
-    carries intermediate quantities (level r, spill-over term, the
-    optimizer location, ...).
+    BoundI-loose, BoundII); ``auxiliary`` carries intermediate
+    quantities (level r, spill-over term, the optimizer location, ...).
     """
 
     value: float
     branch: str
-    inputs: dict = field(default_factory=dict)
     auxiliary: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -212,7 +210,6 @@ def mean_latency_bound_exp(k: int, lam: float, *, strict: bool = True) -> BoundR
     return BoundReport(
         value=value,
         branch=branch,
-        inputs={"k": k, "lam": lam},
         auxiliary={"queue_level": r_exp, "spill": spill, "miss_prob": k ** (-3.0)},
     )
 
@@ -251,7 +248,6 @@ def mean_latency_bound_general(
     return BoundReport(
         value=phi + m_k,
         branch=branch,
-        inputs={"k": k, "lam": lam, "tau_sq": params.tau_sq, "b": params.b},
         auxiliary={
             "queue_level": r_gen,
             "spill": spill,
@@ -395,37 +391,32 @@ def redundant_request_latency(k: int, extra: int) -> float:
     return (harmonic(k + int(extra)) - harmonic(int(extra))) / k
 
 
-def bound_I(
-    lam: float, d: float, k: int, variant: str = "tight", sample_count: int | None = None
-) -> BoundReport:
+def bound_I(lam: float, d: float, k: int, variant: str = "tight") -> BoundReport:
     """Mean latency bound under batch sampling with probe ratio 1 < d < 2.
 
     tight: H(k) + sum_{l=1..k} E[Q_(l)] / (k - l + 1) over the order
-    statistics of ``sample_count`` pmf draws (default k); loose:
-    H(k) + sample_count * E[Q].  Unit-mean exponential tasks assumed.
+    statistics of k pmf draws; loose: H(k) + k * E[Q].  Unit-mean
+    exponential tasks assumed.
     """
     if k < 1 or k != int(k):
         raise ValueError(f"task count k must be a positive integer, got {k}")
     if variant not in ("tight", "loose"):
         raise ValueError(f"variant must be 'tight' or 'loose', got {variant!r}")
-    n = int(sample_count) if sample_count is not None else int(k)
-    if n < k:
-        raise ValueError(f"sample count {n} must be at least k={k}")
+    k = int(k)
     dist = batch_sampling_pmf(lam, d)
     h = harmonic(k)
     if variant == "loose":
-        value = h + sum_order_stats(dist, n)
-        aux = {"q_mean": pmf_mean(dist), "q_max": dist.q_max, "sample_count": n}
+        value = h + sum_order_stats(dist, k)
+        aux = {"q_mean": pmf_mean(dist), "q_max": dist.q_max}
     else:
         contributions = [
-            order_stat_expectation(dist, n, rank) / (k - rank + 1) for rank in range(1, k + 1)
+            order_stat_expectation(dist, k, rank) / (k - rank + 1) for rank in range(1, k + 1)
         ]
         value = h + float(np.sum(contributions))
-        aux = {"q_max": dist.q_max, "sample_count": n, "order_stat_sum": float(np.sum(contributions))}
+        aux = {"q_max": dist.q_max, "order_stat_sum": float(np.sum(contributions))}
     return BoundReport(
         value=value,
         branch=f"BoundI-{variant}",
-        inputs={"lam": lam, "d": d, "k": k},
         auxiliary=aux,
     )
 
@@ -470,7 +461,6 @@ def bound_II(lam: float, d: float, k: int) -> BoundReport:
         return BoundReport(
             value=h,
             branch="BoundII",
-            inputs={"lam": lam, "d": d, "k": k},
             auxiliary={"interp_mean": mu, "interp_var": var, "z_star": 0.0, "q_max": dist.q_max},
         )
 
@@ -483,7 +473,6 @@ def bound_II(lam: float, d: float, k: int) -> BoundReport:
     return BoundReport(
         value=h + k * inner,
         branch="BoundII",
-        inputs={"lam": lam, "d": d, "k": k},
         auxiliary={"interp_mean": mu, "interp_var": var, "z_star": z_star, "q_max": dist.q_max},
     )
 
@@ -502,6 +491,20 @@ class GainBound:
     std_err: float
     replicated_proxy: float
     split_bound: BoundReport
+
+
+def _segment_sums(pool: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sums of consecutive segments of ``pool`` of lengths ``q`` (zero for q = 0).
+
+    Each is S(end) - S(previous end) of the running sum S, S(0) = 0,
+    which is taken in place: ``pool`` is overwritten.
+    """
+    np.cumsum(pool, out=pool)  # S(e) is now pool[e - 1]
+    ends = np.cumsum(q)
+    at_ends = np.zeros(len(q))
+    hit = ends > 0
+    at_ends[hit] = pool[ends[hit] - 1]
+    return np.diff(at_ends, prepend=0.0)
 
 
 def theoretical_gain(
@@ -537,10 +540,7 @@ def theoretical_gain(
     model = DoubleExpTailModel(lam=lam, d=float(d), per_queue_load=lam)
     q = sample_queue_length(model, rng, int(samples))
     full, _ = dists.service_pair(fam, k, shift=shift, shape=shape)
-    pool = dists.sample(full, rng, int(q.sum()))
-    csum = np.concatenate(([0.0], np.cumsum(pool)))
-    ends = np.cumsum(q)
-    sums = csum[ends] - csum[ends - q]
+    sums = _segment_sums(dists.sample(full, rng, int(q.sum())), q)
     replicated_proxy = float(sums.mean())
     std_err = float(sums.std(ddof=1) / math.sqrt(len(sums)))
 

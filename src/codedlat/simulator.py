@@ -5,14 +5,16 @@ servers.  A dispatch policy probes a random server subset per job and
 enqueues one task per selected server; the job's latency runs from its
 arrival to the completion of the last task it needs.
 
-Three paths produce bit-identical results for non-purging policies.
-The scalar fast engine exploits the FCFS identity departure =
-max(arrival, previous departure) + service, so it never materializes
-future events; ``run_many`` advances many such runs (the points of a
-sweep) in lockstep as numpy lanes, counting each queue from a ring of
-its server's pending departures; the event engine maintains an explicit
-event heap, is the oracle for both, and is required for
-``RedundantRequest``, whose purges change server state mid-service.
+Three paths produce bit-identical results.  The scalar fast engine,
+the default, exploits the FCFS identity departure = max(arrival,
+previous departure) + service, so it never materializes future events.
+A task's start depends only on earlier jobs, so a job's completion time
+is fixed when it is dispatched; under purging (``RedundantRequest``)
+each task leaves its server at the earlier of its own departure and
+that time.  ``run_many`` advances many non-purging runs (the points of
+a sweep) in lockstep as numpy lanes, counting each queue from a ring of
+its server's pending departures.  The event engine processes each
+completion and purge from an explicit heap and is the oracle for both.
 Every run consumes its own three RNG streams (arrivals, selection,
 service), each drawn in whole blocks (selection candidates as blocks of
 server rows), which is what makes the outputs interchangeable.
@@ -20,10 +22,11 @@ server rows), which is what makes the outputs interchangeable.
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
+from bisect import insort
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -195,16 +198,14 @@ class ClusterConfig:
     warmup_jobs: int | None = None
     measured_jobs: int | None = None
     keep_samples: bool = False
-    engine: str = "auto"  # "auto" | "fast" | "event"
-    check_invariants: bool = False
+    engine: str = "fast"  # or "event", the oracle
+    check_invariants: bool = False  # event engine only
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"per-server intensity must lie in (0, 1), got {self.lam}")
-        if self.engine not in ("auto", "fast", "event"):
-            raise ValueError(f"engine must be 'auto', 'fast' or 'event', got {self.engine!r}")
-        if self.engine == "fast" and isinstance(self.policy, RedundantRequest):
-            raise ValueError("the fast engine cannot purge; use engine='event' or 'auto'")
+        if self.engine not in ("fast", "event"):
+            raise ValueError(f"engine must be 'fast' or 'event', got {self.engine!r}")
         shape = _shape(self.policy)
         if self.L is None:
             object.__setattr__(self, "L", max(2000, 200 * shape.needed))
@@ -388,19 +389,24 @@ def _streams(config: ClusterConfig):
 # ---------------------------------------------------------------------------
 # fast engine: FCFS departures computed directly, no event queue
 
+def _by_length(tally: Counter) -> np.ndarray:
+    """Probe counts indexed by queue length, up to the longest probed."""
+    counts = np.zeros(max(tally) + 1, dtype=np.int64)
+    counts[list(tally)] = list(tally.values())
+    return counts
+
+
 def _run_fast(config: ClusterConfig):
     L = config.L
     warmup, measured = config.warmup_jobs, config.measured_jobs
-    total = warmup + measured
     arrivals, sel_rng, service = _streams(config)
     select = _make_selector(config.policy, L, sel_rng)
-    n_tasks = _shape(config.policy).tasks
+    shape = _shape(config.policy)
+    n_tasks, last_needed = shape.tasks, shape.needed - 1
 
-    pending = [deque() for _ in range(L)]  # undeparted task departure times
-    last_dep = [0.0] * L
+    pending = [deque() for _ in range(L)]  # times the tasks at a server leave, ascending
     lat = np.empty(measured)
-    counts = [0] * 256
-    cap = 256
+    tally = Counter()
     t = 0.0
 
     def qlen(s):
@@ -409,30 +415,26 @@ def _run_fast(config: ClusterConfig):
             dq.popleft()
         return len(dq)
 
-    for j in range(total):
+    for j in range(warmup + measured):
         t += arrivals.take1()
         chosen, probed = select(qlen)
-        svc = service.take(n_tasks)
-        worst = 0.0
+        dep = service.take(n_tasks).tolist()
         for i in range(n_tasks):
-            # chosen servers were just probed at t, so their departed tasks are gone
-            s = chosen[i]
-            start = last_dep[s]
-            if start < t:
-                start = t
-            dep = start + float(svc[i])
-            pending[s].append(dep)
-            last_dep[s] = dep
-            if dep > worst:
-                worst = dep
+            # the chosen servers were just probed, so a server is busy until its last leave time
+            dq = pending[chosen[i]]
+            dep[i] += dq[-1] if dq else t
+            dq.append(dep[i])
+        # the job is done at its needed-th departure; a task still there then is purged
+        done = sorted(dep)[last_needed]
+        for i in range(n_tasks):
+            if dep[i] > done:
+                dq = pending[chosen[i]]
+                dq.pop()
+                insort(dq, done)
         if j >= warmup:
-            lat[j - warmup] = worst - t
-            for q in probed:
-                if q >= cap:
-                    counts.extend([0] * (q + 1 - cap))
-                    cap = q + 1
-                counts[q] += 1
-    return lat, counts
+            lat[j - warmup] = done - t
+            tally.update(probed)
+    return lat, _by_length(tally)
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +537,12 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
             counts = np.pad(counts, ((0, 0), (0, depth + 1 - counts.shape[1])))
             codes = qs[first:J, real] + lane_of_real * (depth + 1)
             counts += np.bincount(codes.ravel(), minlength=R * (depth + 1)).reshape(R, depth + 1)
-    return [_build_stats(lat[r], counts[r], c.keep_samples) for r, c in enumerate(configs)]
+    return [_build_stats(lat[r], np.trim_zeros(counts[r], "b"), c.keep_samples)
+            for r, c in enumerate(configs)]
 
 
 # ---------------------------------------------------------------------------
-# event engine: explicit heap, required for purging
+# event engine: explicit completion heap, the oracle for the fast paths
 
 class _Task:
     __slots__ = ("job", "svc", "server", "cancelled", "done")
@@ -564,9 +567,9 @@ class _Job:
 
 
 def _run_event(config: ClusterConfig):
-    # Heap entries sort by (time, kind, seq) with completions at kind 0:
-    # a completion at exactly an arrival's epoch is processed first, so
-    # the arrival sees it gone, matching the fast engine's strict
+    # Only completions live in the heap, ordered by (time, seq).  Each
+    # arrival first processes every completion at or before its epoch,
+    # so it sees those tasks gone, matching the fast engine's strict
     # departure > t queue count.
     L = config.L
     warmup, measured = config.warmup_jobs, config.measured_jobs
@@ -576,7 +579,6 @@ def _run_event(config: ClusterConfig):
     select = _make_selector(config.policy, L, sel_rng)
     shape = _shape(config.policy)
     n_tasks, needed = shape.tasks, shape.needed
-    purging = isinstance(config.policy, RedundantRequest)
 
     queues = [deque() for _ in range(L)]  # may still hold cancelled tasks
     current: list[_Task | None] = [None] * L
@@ -584,10 +586,8 @@ def _run_event(config: ClusterConfig):
     heap: list[tuple] = []
     seq = 0
     lat = np.empty(measured)
-    counts = [0] * 256
-    cap = 256
+    tally = Counter()
     jobs_done = 0
-    arrivals_seen = 0
 
     def start_next(s, now):
         nonlocal seq
@@ -598,7 +598,7 @@ def _run_event(config: ClusterConfig):
                 continue
             current[s] = nxt
             seq += 1
-            heapq.heappush(heap, (now + nxt.svc, 0, seq, s, nxt))
+            heappush(heap, (now + nxt.svc, seq, s, nxt))
             return
         current[s] = None
 
@@ -610,46 +610,10 @@ def _run_event(config: ClusterConfig):
 
     qlen = checked_qlen if check else live.__getitem__
 
-    seq += 1
-    heapq.heappush(heap, (arrivals.take1(), 1, seq, 0))
-
-    while heap:
-        ev = heapq.heappop(heap)
-        t = ev[0]
-        if ev[1] == 1:  # arrival of job ev[3]
-            j = ev[3]
-            arrivals_seen += 1
-            chosen, probed = select(qlen)
-            svc = service.take(n_tasks)
-            job = _Job(t, j, needed)
-            tasks = []
-            for i in range(n_tasks):
-                s = chosen[i]
-                task = _Task(job, float(svc[i]), s)
-                tasks.append(task)
-                live[s] += 1
-                if current[s] is None:
-                    current[s] = task
-                    seq += 1
-                    heapq.heappush(heap, (t + task.svc, 0, seq, s, task))
-                else:
-                    queues[s].append(task)
-            job.tasks = tuple(tasks)
-            if j >= warmup:
-                for q in probed:
-                    if q >= cap:
-                        counts.extend([0] * (q + 1 - cap))
-                        cap = q + 1
-                    counts[q] += 1
-            if j + 1 < total:
-                seq += 1
-                heapq.heappush(heap, (t + arrivals.take1(), 1, seq, j + 1))
-            continue
-
-        # completion of ev[4] on server ev[3]
-        s, task = ev[3], ev[4]
+    def complete(t, _, s, task):
+        nonlocal jobs_done
         if current[s] is not task:
-            continue  # purged mid-service; obsolete event
+            return  # purged mid-service; obsolete event
         if check and t < task.job.t + task.svc - 1e-9:
             raise AssertionError("task finished before its service demand")
         task.done = True
@@ -667,22 +631,46 @@ def _run_event(config: ClusterConfig):
                 lat[job.idx - warmup] = t - job.t
             if check and t - job.t < job.max_done_svc - 1e-9:
                 raise AssertionError("job latency below its largest completed service")
-            if purging:
-                for sib in job.tasks:
-                    if sib.done or sib.cancelled:
-                        continue
-                    sib.cancelled = True
-                    live[sib.server] -= 1
-                    if current[sib.server] is sib:
-                        start_next(sib.server, t)
+            for sib in job.tasks:  # purge the tasks still outstanding
+                if sib.done or sib.cancelled:
+                    continue
+                sib.cancelled = True
+                live[sib.server] -= 1
+                if current[sib.server] is sib:
+                    start_next(sib.server, t)
+            job.tasks = ()  # no job <-> task cycle: a finished job is freed without the GC
 
-    if check:
-        in_flight = sum(1 for c in current if c is not None)
-        if arrivals_seen != jobs_done + in_flight or in_flight != 0:
-            raise AssertionError("event-count conservation violated at drain")
+    t = 0.0
+    for j in range(total):
+        t += arrivals.take1()
+        while heap and heap[0][0] <= t:
+            complete(*heappop(heap))
+        chosen, probed = select(qlen)
+        svc = service.take(n_tasks).tolist()
+        job = _Job(t, j, needed)
+        tasks = []
+        for i in range(n_tasks):
+            s = chosen[i]
+            task = _Task(job, svc[i], s)
+            tasks.append(task)
+            live[s] += 1
+            if current[s] is None:
+                current[s] = task
+                seq += 1
+                heappush(heap, (t + task.svc, seq, s, task))
+            else:
+                queues[s].append(task)
+        job.tasks = tasks
+        if j >= warmup:
+            tally.update(probed)
+    while heap:
+        complete(*heappop(heap))
+
+    if check and any(c is not None for c in current):
+        raise AssertionError("a server still busy after the drain")
     if jobs_done != total:
         raise RuntimeError(f"only {jobs_done} of {total} jobs completed")
-    return lat, counts
+    return lat, _by_length(tally)
 
 
 # ---------------------------------------------------------------------------
@@ -692,23 +680,16 @@ _CCDF_POINTS = 48
 _QUANTILES = (0.5, 0.9, 0.99)
 
 
-def _build_stats(lat: np.ndarray, counts: list[int], keep: bool) -> LatencyStats:
+def _build_stats(lat: np.ndarray, counts: np.ndarray, keep: bool) -> LatencyStats:
+    """``counts[r]`` is the number of probes that saw r tasks; the last is nonzero."""
     n = lat.size
     srt = np.sort(lat)
     std_err = float(lat.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     grid = np.unique(np.linspace(0, n - 1, num=min(_CCDF_POINTS, n)).round().astype(int))
     ts = srt[grid]
     exceed = n - np.searchsorted(srt, ts, side="right")
-    arr = np.asarray(counts, dtype=np.int64)
-    nz = np.nonzero(arr)[0]
-    arr = arr[: nz[-1] + 1] if nz.size else arr[:1]
-    suffix = arr[::-1].cumsum()[::-1]
-    total_probes = int(suffix[0]) if suffix.size else 0
-    queue_ccdf = tuple(
-        (int(r), float(suffix[r]) / total_probes)
-        for r in range(arr.size)
-        if total_probes and suffix[r] > 0
-    )
+    suffix = counts[::-1].cumsum()[::-1].tolist()
+    queue_ccdf = tuple((r, tail / suffix[0]) for r, tail in enumerate(suffix))
     return LatencyStats(
         mean=float(lat.mean()),
         std_err=std_err,
@@ -720,36 +701,31 @@ def _build_stats(lat: np.ndarray, counts: list[int], keep: bool) -> LatencyStats
     )
 
 
-def _engine(config: ClusterConfig) -> str:
-    if config.engine == "auto":
-        return "event" if isinstance(config.policy, RedundantRequest) else "fast"
-    return config.engine
-
-
 def run(config: ClusterConfig) -> LatencyStats:
     """Simulate one cluster and summarize the measured jobs.
 
     Arrivals stop once warmup + measured jobs have been dispatched;
     under FCFS a job's latency never depends on later arrivals, so the
     truncation is exact rather than a censoring approximation.  The
-    same config (same seed) yields bit-identical statistics regardless
-    of engine for every policy the fast engine supports.
+    same config (same seed) yields bit-identical statistics on either
+    engine.
     """
-    lat, counts = _run_event(config) if _engine(config) == "event" else _run_fast(config)
+    lat, counts = _run_event(config) if config.engine == "event" else _run_fast(config)
     return _build_stats(lat, counts, config.keep_samples)
 
 
 def run_many(configs: Sequence[ClusterConfig]) -> list[LatencyStats]:
     """``[run(c) for c in configs]``, bit for bit, with sweeps run as lockstep lanes.
 
-    Fast-engine configs that share warmup and measured job counts
-    advance together, one job per numpy step, when there are at least
-    ``_LOCKSTEP_MIN_LANES`` of them; every other config goes through
-    ``run``.
+    Fast-engine configs of non-purging policies that share warmup and
+    measured job counts advance together, one job per numpy step, when
+    there are at least ``_LOCKSTEP_MIN_LANES`` of them; every other
+    config goes through ``run``.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, config in enumerate(configs):
-        if _engine(config) == "fast":
+        shape = _shape(config.policy)
+        if config.engine == "fast" and shape.needed == shape.tasks:
             groups.setdefault((config.warmup_jobs, config.measured_jobs), []).append(i)
     out = {}
     for idx in groups.values():

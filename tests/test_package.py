@@ -1,11 +1,16 @@
+import contextlib
 import importlib
+import io
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import codedlat
 
 MODULES = ["codedlat"] + [f"codedlat.{info.name}" for info in pkgutil.iter_modules(codedlat.__path__)]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -13,3 +18,12 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_readme_quick_start_runs():
+    section = README.read_text().split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue().splitlines()[-1].split()[-1] == "Phi3"

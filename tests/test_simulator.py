@@ -250,12 +250,43 @@ def test_probed_queue_lengths_count_only_live_tasks():
     assert stats == run(replace(config, check_invariants=False))
 
 
-def test_redundant_request_needs_event_engine():
-    with pytest.raises(ValueError):
-        _config(RedundantRequest(k=2, extra=1), Exponential(rate=2.0), engine="fast")
-    # engine selection picks the event engine automatically
-    stats = run(_config(RedundantRequest(k=2, extra=1), Exponential(rate=2.0), lam=0.3))
-    assert stats.job_count == 15_000
+def test_purging_fast_engine_equals_event_oracle():
+    # the fast engine caps each task's departure at its job's needed-th one;
+    # the event engine purges from a heap and checks its invariants
+    cases = [
+        (RedundantRequest(k=k, extra=extra), service, lam)
+        for k, extra in [(1, 0), (2, 1), (3, 2), (2, 3), (4, 4)]
+        for service in (Exponential(rate=float(k)), Weibull(shape=1.5, scale=1.0 / k))
+        for lam in (0.05, 0.9)
+    ] + [
+        (RedundantRequest(k=2, extra=2), Constant(value=0.5), lam)  # ties between siblings
+        for lam in (0.3, 0.8)
+    ]
+    for i, (policy, service, lam) in enumerate(cases):
+        config = _config(policy, service, lam=lam, L=40, seed=i, warmup_jobs=500,
+                         measured_jobs=2_000, keep_samples=True)
+        fast = run(config)
+        event = run(replace(config, engine="event", check_invariants=True))
+        assert fast == event, (policy, service, lam)
+        assert np.array_equal(fast.samples, event.samples)
+
+
+def test_run_many_runs_purging_configs_one_by_one(monkeypatch):
+    lanes = _lanes()[:6]
+    purging = [replace(c, policy=RedundantRequest(k=2, extra=1), service=Exponential(rate=2.0))
+               for c in lanes]
+    configs = [c for pair in zip(lanes, purging) for c in pair]
+    want = [run(c) for c in configs]
+    laned = []
+    real_lanes = simulator._run_lanes
+
+    def run_lanes(group):
+        laned.extend(group)
+        return real_lanes(group)
+
+    monkeypatch.setattr(simulator, "_run_lanes", run_lanes)
+    assert run_many(configs) == want
+    assert laned == lanes
 
 
 def test_redundant_request_low_load_closed_form():
@@ -305,6 +336,8 @@ def test_config_validation():
         ClusterConfig(lam=0.5, policy=LeastKOfN(n=600, k=2), service=exp, L=500)
     with pytest.raises(ValueError):
         ClusterConfig(lam=0.5, policy=NaiveReplication(d=2), service=exp, engine="warp")
+    with pytest.raises(ValueError):
+        ClusterConfig(lam=0.5, policy=NaiveReplication(d=2), service=exp, engine="auto")
     with pytest.raises(ValueError):
         NaiveReplication(d=1)
     with pytest.raises(ValueError):
