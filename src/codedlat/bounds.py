@@ -426,19 +426,16 @@ def _interp_moments(pmf) -> tuple[float, float]:
 
     Atoms at the integers become a polygonal density on [0, q_max]
     (renormalized); each segment integrates in closed form, so the
-    moments are exact for the interpolant.
+    moments are exact for the interpolant.  A batch pmf has at least two
+    atoms and a positive one at 0, so the interpolant has positive mass.
     """
     arr = np.asarray(pmf, dtype=float)
-    if arr.size == 1:
-        return 0.0, 0.0
     a, b = arr[:-1], arr[1:]
     mass = (a + b) / 2.0
     i = np.arange(arr.size - 1, dtype=float)
     first = i * mass + a / 6.0 + b / 3.0
     second = i**2 * mass + 2.0 * i * (a / 6.0 + b / 3.0) + a / 12.0 + b / 4.0
     z = float(mass.sum())
-    if z <= 0.0:
-        return 0.0, 0.0
     mu = float(first.sum()) / z
     var = float(second.sum()) / z - mu * mu
     return mu, max(var, 0.0)
@@ -457,12 +454,6 @@ def bound_II(lam: float, d: float, k: int) -> BoundReport:
     dist = batch_sampling_pmf(lam, d)
     h = harmonic(k)
     mu, var = _interp_moments(dist.pmf)
-    if dist.q_max == 0 or (mu == 0.0 and var == 0.0):
-        return BoundReport(
-            value=h,
-            branch="BoundII",
-            auxiliary={"interp_mean": mu, "interp_var": var, "z_star": 0.0, "q_max": dist.q_max},
-        )
 
     def envelope(z: float) -> float:
         return z + 0.5 * (mu - z + math.sqrt((mu - z) ** 2 + var))

@@ -5,15 +5,16 @@ Subcommands:
 * ``simulate``  one cluster run, prints latency statistics.
 * ``bound``     one bound evaluation, prints value, branch, and the
                 auxiliary terms needed to recompute it.
-* ``sweep``     executes a sweep spec (a preset, or a config file and/or
-                inline flags) and writes the comparison CSV.
+* ``sweep``     executes a sweep spec (a preset or a config file, and/or
+                inline flags), writes the comparison CSV and prints a
+                FAIL line per failed row.
 * ``compare``   like sweep, but exits 1 unless every row passes.
 * ``figures``   emits the preset sweeps as plot-ready CSV files; exits 1
                 if any row fails.
 
 Sweep flags set config keys (``--lambda`` sets ``lambda.grid``, ``--k``
-sets ``code.k``, ...): they join a ``--config`` file's lines as entries
-of one spec, and a key set twice is an error.  When
+sets ``code.k``, ...): they join a preset's or a ``--config`` file's
+entries as entries of one spec, and a key set twice is an error.  When
 ``--out`` is omitted, files land under ``$CODEDLAT_OUT`` (default
 current directory).  Exit status: 0 success, 1 failed comparison or
 any other failure, 2 configuration error (bad flags, an unreadable
@@ -55,7 +56,7 @@ _SPEC_FLAGS = (
     ("--shape", "dist.shape", "Weibull shape"),
     ("--shift", "dist.shift", "additive shift"),
     ("--L", "sim.L", "server count"),
-    ("--seed", "sim.seed", "base seed (default: 0 or the preset's)"),
+    ("--seed", "sim.seed", "base seed (default 0)"),
     ("--warmup-jobs", "sim.warmup_jobs", "warmup jobs per run"),
     ("--measured-jobs", "sim.measured_jobs", "measured jobs per run"),
 )
@@ -103,19 +104,19 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("sweep", "run a sweep and write its CSV"),
                             ("compare", "run a sweep; exit 1 unless every row passes")):
         sw = sub.add_parser(name, help=help_text)
-        sw.add_argument("--config", default=None, help="path to a key=value sweep config")
-        sw.add_argument("--preset", default=None, choices=sorted(harness.PRESETS),
-                        help="named preset sweep")
+        source = sw.add_mutually_exclusive_group()
+        source.add_argument("--config", default=None, help="path to a key=value sweep config")
+        source.add_argument("--preset", default=None, choices=sorted(harness.PRESETS),
+                            help="named preset sweep")
         for flag, key, help_text in _SPEC_FLAGS:
-            # --seed also picks a preset's seed, which takes no other entry
-            sw.add_argument(flag, dest=key, type=int if key == "sim.seed" else str,
-                            default=None, help=f"{key}: {help_text}")
+            sw.add_argument(flag, dest=key, default=None, help=f"{key}: {help_text}")
         sw.add_argument("--out", default=None, help="output CSV path")
         sw.add_argument("--jobs", type=int, default=None, help="parallel worker processes")
 
     fig = sub.add_parser("figures", help="emit the preset figure sweeps as CSV data")
     fig.add_argument("--out", default=None, help="output directory")
-    fig.add_argument("--seed", type=int, default=None, help="override preset seeds")
+    fig.add_argument("--seed", dest="sim.seed", default=None,
+                     help="sim.seed: base seed (default 0)")
     fig.add_argument("--jobs", type=int, default=None, help="parallel worker processes")
     fig.add_argument("--only", default=None, choices=sorted(harness.PRESETS),
                      help="emit a single preset")
@@ -194,17 +195,18 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _flag_entries(args) -> list[tuple[str, str, str]]:
+    return [(key, flag, vars(args)[key]) for flag, key, _ in _SPEC_FLAGS
+            if vars(args).get(key) is not None]
+
+
 def _spec_from_args(args) -> harness.SweepSpec:
-    """A preset alone, or the entries of --config and of the spec flags merged."""
-    flags = [(key, flag, str(vars(args)[key])) for flag, key, _ in _SPEC_FLAGS
-             if vars(args)[key] is not None]
+    """The entries of a preset or of --config, joined by those of the spec flags."""
     if args.preset:
-        stray = ["--config"] if args.config else [flag for key, flag, _ in flags if key != "sim.seed"]
-        if stray:
-            raise harness.ConfigError(f"--preset takes no {stray[0]} (only --seed)")
-        return harness.preset(args.preset, seed=vars(args)["sim.seed"])
-    file_entries = harness.config_entries(args.config) if args.config else []
-    return harness.build_spec([*file_entries, *flags])
+        entries = harness.preset_entries(args.preset)
+    else:
+        entries = harness.config_entries(args.config) if args.config else []
+    return harness.build_spec([*entries, *_flag_entries(args)])
 
 
 def _out_path(args, spec: harness.SweepSpec) -> str:
@@ -216,38 +218,37 @@ def _out_path(args, spec: harness.SweepSpec) -> str:
     return os.path.join(os.environ.get(_OUT_ENV, "."), f"{name}.csv")
 
 
+def _emit(spec: harness.SweepSpec, path: str, workers: int | None) -> int:
+    """Run a sweep, write its CSV, print a summary and a FAIL line per failed row.
+
+    Returns the number of failed rows; only compare and figures gate on it.
+    """
+    rows = harness.run_sweep(spec, workers=workers)
+    harness.write_csv(rows, path)
+    failed = [row for row in rows if not row.passed]
+    print(f"{len(rows)} rows ({len(rows) - len(failed)} passed) -> {path}")
+    for row in failed:
+        where = f"n={row.n} k={row.k} d={row.d:g} lam={row.lam:g}"
+        if row.t is not None:
+            where += f" t={row.t:g}"
+        print(f"FAIL {row.experiment} {row.family} {where}: "
+              f"sim {row.sim_mean:.6g} (se {row.sim_se:.3g}) vs theory {row.theory:.6g}")
+    return len(failed)
+
+
 def _cmd_sweep(args, *, gate: bool) -> int:
     spec = _spec_from_args(args)
-    rows = harness.run_sweep(spec, workers=args.jobs)
-    path = _out_path(args, spec)
-    harness.write_csv(rows, path)
-    passed = sum(row.passed for row in rows)
-    print(f"{len(rows)} rows ({passed} passed) -> {path}")
-    if gate:
-        for row in rows:
-            if not row.passed:
-                where = f"n={row.n} k={row.k} d={row.d:g} lam={row.lam:g}"
-                if row.t is not None:
-                    where += f" t={row.t:g}"
-                print(f"FAIL {row.experiment} {row.family} {where}: "
-                      f"sim {row.sim_mean:.6g} (se {row.sim_se:.3g}) vs theory {row.theory:.6g}")
-        if passed != len(rows):
-            return 1
-    return 0
+    failed = _emit(spec, _out_path(args, spec), args.jobs)
+    return 1 if gate and failed else 0
 
 
 def _cmd_figures(args) -> int:
     out_dir = args.out or os.environ.get(_OUT_ENV, "figures-data")
     names = [args.only] if args.only else sorted(harness.PRESETS)
-    failed = 0
-    for name in names:
-        spec = harness.preset(name, seed=args.seed)
-        rows = harness.run_sweep(spec, workers=args.jobs)
-        path = os.path.join(out_dir, f"{name}.csv")
-        harness.write_csv(rows, path)
-        passed = sum(row.passed for row in rows)
-        print(f"{name}: {len(rows)} rows ({passed} passed) -> {path}")
-        failed += len(rows) - passed
+    specs = {name: harness.build_spec([*harness.preset_entries(name), *_flag_entries(args)])
+             for name in names}
+    failed = sum(_emit(spec, os.path.join(out_dir, f"{name}.csv"), args.jobs)
+                 for name, spec in specs.items())
     return 1 if failed else 0
 
 

@@ -24,14 +24,15 @@ Experiment kinds and their pass rules (tolerances are one-sided at
 * ``residual-check``  busy-server residual; passes when it matches the
                       renewal formula within 2 percent.
 
-:func:`build_spec` builds a spec from ``key=value`` entries: the lines
-of a flat UTF-8 config file (``#`` starts a comment) and the CLI's
-sweep flags alike.  Recognized keys: ``experiment``, ``lambda.grid``,
-``code.n``, ``code.k``, ``code.d``, ``dist.family``, ``dist.shape``,
-``dist.shift``, ``sim.L``, ``sim.seed``, ``sim.warmup_jobs``,
-``sim.measured_jobs``, ``out.path``.  ``code.*`` accept
-comma-separated aligned lists (scalars broadcast); ``dist.*`` default
-to exponential, shape 1, shift 0 and ``sim.seed`` to 0; omitted
+:func:`build_spec` builds every spec from ``key=value`` entries: the
+lines of a flat UTF-8 config file (``#`` starts a comment), a preset
+of :data:`PRESETS` (every key but ``sim.seed`` and ``out.path``) and
+the CLI's sweep flags alike.  Recognized keys: ``experiment``,
+``lambda.grid``, ``code.n``, ``code.k``, ``code.d``, ``dist.family``,
+``dist.shape``, ``dist.shift``, ``sim.L``, ``sim.seed``,
+``sim.warmup_jobs``, ``sim.measured_jobs``, ``out.path``.  ``code.*``
+accept comma-separated aligned lists (scalars broadcast); ``dist.*``
+default to exponential, shape 1, shift 0 and ``sim.seed`` to 0; omitted
 ``sim.*`` keys fall back to the simulator defaults
 (L = max(2000, 200 * splits), warmup = 20 * L).
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,6 +68,8 @@ __all__ = [
     "build_spec",
     "config_entries",
     "load_config",
+    "preset",
+    "preset_entries",
     "run_sweep",
     "write_csv",
 ]
@@ -228,11 +231,12 @@ def _parse(key: str, where: str, raw: str, kind: type):
 def build_spec(entries: Iterable[tuple[str, str, str]]) -> SweepSpec:
     """Build a validated SweepSpec from (key, where, raw text) entries.
 
-    The one builder behind config files and CLI flags: ``where`` names
-    the entry's source ("line N" or "--flag") in parse errors, and each
-    key may be set once across all entries, so a flag that repeats a
-    file's key is a duplicate like a repeated line.  Omitted keys take
-    the defaults listed in the module docstring.
+    The one builder behind config files, presets and CLI flags:
+    ``where`` names the entry's source ("line N", "preset NAME" or
+    "--flag") in parse errors, and each key may be set once across all
+    entries, so a flag that repeats a file's or a preset's key is a
+    duplicate like a repeated line.  Omitted keys take the defaults
+    listed in the module docstring.
     """
     seen: dict[str, tuple[str, str]] = {}
     for key, where, raw in entries:
@@ -539,38 +543,39 @@ def write_csv(rows: Iterable[ComparisonRow], path: str | os.PathLike) -> None:
 
 
 # ---------------------------------------------------------------------------
-# figure presets
+# figure presets: config entries that set every key but sim.seed and out.path
 
-_GAIN_CODES = ((4, 2, 2), (6, 3, 2), (8, 4, 2), (9, 3, 3))
-_GAIN_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
+_GAIN_ENTRIES = {
+    "experiment": "gain-sweep", "lambda.grid": "0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9",
+    "code.n": "4, 6, 8, 9", "code.k": "2, 3, 4, 3", "code.d": "2, 2, 2, 3",
+    "dist.family": "exponential", "dist.shape": "1", "dist.shift": "0",
+    "sim.L": "1000", "sim.warmup_jobs": "30000", "sim.measured_jobs": "25000",
+}
 
-PRESETS: dict[str, SweepSpec] = {
-    "fig3a": SweepSpec(
-        "gain-sweep", _GAIN_GRID, _GAIN_CODES, "exponential",
-        L=1000, warmup_jobs=30_000, measured_jobs=25_000,
-    ),
-    "fig3b": SweepSpec(
-        "gain-sweep", _GAIN_GRID, _GAIN_CODES, "shifted-exponential", shift=0.1,
-        L=1000, warmup_jobs=30_000, measured_jobs=25_000,
-    ),
-    "fig4": SweepSpec(
-        "gain-sweep", _GAIN_GRID, _GAIN_CODES, "weibull", shape=1.5,
-        L=1000, warmup_jobs=30_000, measured_jobs=25_000,
-    ),
-    "fig5": SweepSpec(
-        "batch-sampling", (0.8, 0.85, 0.9), ((14, 10, 1),), "exponential",
-        L=2000, warmup_jobs=40_000, measured_jobs=30_000,
-    ),
+PRESETS: dict[str, dict[str, str]] = {
+    "fig3a": _GAIN_ENTRIES,
+    "fig3b": {**_GAIN_ENTRIES, "dist.family": "shifted-exponential", "dist.shift": "0.1"},
+    "fig4": {**_GAIN_ENTRIES, "dist.family": "weibull", "dist.shape": "1.5"},
+    "fig5": {
+        "experiment": "batch-sampling", "lambda.grid": "0.8, 0.85, 0.9",
+        "code.n": "14", "code.k": "10", "code.d": "1",
+        "dist.family": "exponential", "dist.shape": "1", "dist.shift": "0",
+        "sim.L": "2000", "sim.warmup_jobs": "40000", "sim.measured_jobs": "30000",
+    },
 }
 
 
-def preset(name: str, *, seed: int | None = None) -> SweepSpec:
+def preset_entries(name: str) -> list[tuple[str, str, str]]:
+    """The (key, "preset NAME", raw text) entries of a named preset."""
     try:
-        spec = PRESETS[name]
+        entries = PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset '{name}' (expected one of {', '.join(sorted(PRESETS))})"
         ) from None
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    return spec
+    return [(key, f"preset {name}", raw) for key, raw in entries.items()]
+
+
+def preset(name: str) -> SweepSpec:
+    """The spec of a named preset, at seed 0."""
+    return build_spec(preset_entries(name))

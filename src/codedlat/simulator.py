@@ -104,7 +104,7 @@ class BatchSampling:
 
     Same selection mechanics as LeastKOfN but the analytical regime is
     a fractional probe ratio; the harness pairs it with unit-mean task
-    service and a job rate scaled down by k.
+    service, and the job rate is scaled down by k.
     """
 
     n: int
@@ -148,12 +148,16 @@ class _Shape(NamedTuple):
     of ``group``; each group sends a task to its ``picks`` least loaded
     servers (ties to the earliest drawn), and the job is done after
     ``needed`` completions.  A redundant request is groups of one.
+    ``work`` is a job's mean service in server-time units, by which the
+    job rate is divided: k unit-mean tasks under batch sampling (Ying,
+    Srikant & Kang, INFOCOM 2015), one file's worth otherwise.
     """
 
     fanout: int
     group: int
     picks: int
     needed: int
+    work: int = 1
 
     @property
     def tasks(self) -> int:
@@ -164,7 +168,7 @@ _SHAPES = {
     NaiveReplication: lambda p: _Shape(p.d, p.d, 1, 1),
     KSplit: lambda p: _Shape(p.k * p.d, p.d, 1, p.k),
     LeastKOfN: lambda p: _Shape(p.n, p.n, p.k, p.k),
-    BatchSampling: lambda p: _Shape(p.n, p.n, p.k, p.k),
+    BatchSampling: lambda p: _Shape(p.n, p.n, p.k, p.k, p.k),
     RedundantRequest: lambda p: _Shape(p.k + p.extra, 1, 1, p.k),
 }
 
@@ -184,10 +188,11 @@ class ClusterConfig:
     """One simulation run: cluster size, load, policy, service law.
 
     ``lam`` is the per-server arrival intensity; the Poisson job rate
-    is L*lam, except under BatchSampling where it is L*lam/k so that
-    unit-mean tasks still load each server to lam.  Omitted sizes fall
-    back to L = max(2000, 200k), warmup = 20 L jobs, and a measurement
-    budget of one million tasks.
+    ``job_rate`` is L*lam over the work per job in the policy table:
+    k under BatchSampling, so its k unit-mean tasks still load each
+    server to lam, and 1 otherwise.  Omitted sizes fall back to
+    L = max(2000, 200k), warmup = 20 L jobs, and a measurement budget of
+    one million tasks.
     """
 
     lam: float
@@ -224,6 +229,11 @@ class ClusterConfig:
         if self.measured_jobs < 1:
             raise ValueError(f"measured_jobs must be positive, got {self.measured_jobs}")
 
+    @property
+    def job_rate(self) -> float:
+        """Poisson rate of job arrivals to the whole cluster."""
+        return self.L * self.lam / _shape(self.policy).work
+
 
 @dataclass(frozen=True)
 class LatencyStats:
@@ -254,8 +264,7 @@ class GainResult:
 
     @classmethod
     def of(cls, replicated: LatencyStats, split: LatencyStats) -> GainResult:
-        """Replicated minus split mean; the standard errors add in
-        quadrature, which overstates the error of the matched difference."""
+        """Replicated minus split mean; the standard errors add in quadrature."""
         return cls(replicated.mean - split.mean, math.hypot(replicated.std_err, split.std_err),
                    replicated, split)
 
@@ -342,7 +351,7 @@ def _make_selector(policy: Policy, n_servers: int, rng):
     without favoring low server indices.  Both engines consume the same
     blocks of candidate rows from one ``_draw_distinct`` per run.
     """
-    fanout, group, picks, _ = _shape(policy)
+    fanout, group, picks, *_ = _shape(policy)
     rows = _draw_distinct(rng, n_servers, fanout)
     if picks > 1:  # the least loaded picks of one group
         def select(qlen):
@@ -370,20 +379,15 @@ def _make_selector(policy: Policy, n_servers: int, rng):
     return select
 
 
-def _streams(config: ClusterConfig):
-    """(arrival gaps, selection generator, service draws) of one run."""
-    ss = np.random.SeedSequence(entropy=int(config.seed))
-    arr_seed, sel_seed, svc_seed = ss.spawn(3)
-    rate = config.L * config.lam
-    if isinstance(config.policy, BatchSampling):
-        rate /= config.policy.k
+def _streams(seed: int, rate: float, service: ServiceDistribution):
+    """(arrival gaps at ``rate``, selection generator, service draws) of one run."""
+    arr_seed, sel_seed, svc_seed = np.random.SeedSequence(entropy=int(seed)).spawn(3)
     scale = 1.0 / rate
     arrivals = _Stream(_blocks(
         lambda rng, m: rng.exponential(scale, m), np.random.default_rng(arr_seed)))
-    select_rng = np.random.default_rng(sel_seed)
-    service = _Stream(_blocks(
-        lambda rng, m: dists.sample(config.service, rng, m), np.random.default_rng(svc_seed)))
-    return arrivals, select_rng, service
+    draws = _Stream(_blocks(
+        lambda rng, m: dists.sample(service, rng, m), np.random.default_rng(svc_seed)))
+    return arrivals, np.random.default_rng(sel_seed), draws
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +403,7 @@ def _by_length(tally: Counter) -> np.ndarray:
 def _run_fast(config: ClusterConfig):
     L = config.L
     warmup, measured = config.warmup_jobs, config.measured_jobs
-    arrivals, sel_rng, service = _streams(config)
+    arrivals, sel_rng, service = _streams(config.seed, config.job_rate, config.service)
     select = _make_selector(config.policy, L, sel_rng)
     shape = _shape(config.policy)
     n_tasks, last_needed = shape.tasks, shape.needed - 1
@@ -481,7 +485,7 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
         starts = np.arange(0, sh.fanout, sh.group)[:, None]
         pick[r, : sh.tasks] = (starts + np.arange(sh.picks)).ravel()
         pick[r, sh.tasks :] = np.arange(W - K + sh.tasks, W)  # padding columns, sorted last
-        arrivals, sel_rng, service = _streams(config)
+        arrivals, sel_rng, service = _streams(config.seed, config.job_rate, config.service)
         rows = _Stream(_candidate_blocks(sel_rng, config.L, sh.fanout))
         lanes.append((arrivals, rows, service, sh, offsets[r]))
     pick = (np.arange(R)[:, None] * W + pick).ravel()
@@ -575,7 +579,7 @@ def _run_event(config: ClusterConfig):
     warmup, measured = config.warmup_jobs, config.measured_jobs
     total = warmup + measured
     check = config.check_invariants
-    arrivals, sel_rng, service = _streams(config)
+    arrivals, sel_rng, service = _streams(config.seed, config.job_rate, config.service)
     select = _make_selector(config.policy, L, sel_rng)
     shape = _shape(config.policy)
     n_tasks, needed = shape.tasks, shape.needed
@@ -793,12 +797,7 @@ def empirical_residual(
         raise ValueError(f"unstable single queue: utilization {rho}")
     if warmup is None:
         warmup = jobs // 10
-    ss = np.random.SeedSequence(entropy=int(seed))
-    arr_seed, _, svc_seed = ss.spawn(3)
-    arrivals = _Stream(_blocks(
-        lambda rng, m: rng.exponential(1.0 / arrival_rate, m), np.random.default_rng(arr_seed)))
-    svc = _Stream(_blocks(
-        lambda rng, m: dists.sample(service, rng, m), np.random.default_rng(svc_seed)))
+    arrivals, _, svc = _streams(seed, arrival_rate, service)
 
     pending = deque()
     last_dep = 0.0

@@ -34,6 +34,7 @@ from codedlat.simulator import (
     empirical_residual,
     gain_experiment,
     run,
+    run_many,
 )
 
 GRID_LAMBDAS = (0.5, 0.7, 0.9)
@@ -94,38 +95,41 @@ def test_acceptance_02_zero_load_gain_examples():
 # 3-4. mean bound dominance on the (k, lambda) grid
 
 
-def _ksplit_mean(k, lam, service, seed):
-    stats = run(ClusterConfig(
+def _ksplit_config(k, lam, service, seed):
+    return ClusterConfig(
         lam=lam, policy=KSplit(k=k, d=3), service=service,
         L=2000, seed=seed, warmup_jobs=120_000, measured_jobs=40_000,
-    ))
-    return stats
+    )
 
 
 def test_acceptance_03_exponential_bound_dominates():
+    cells = [(k, lam) for k in GRID_KS for lam in GRID_LAMBDAS]
+    runs = run_many([_ksplit_config(k, lam, Exponential(rate=float(k)), seed=100 + k)
+                     for k, lam in cells])
     lines, ok = [], True
-    for k in GRID_KS:
-        for lam in GRID_LAMBDAS:
-            stats = _ksplit_mean(k, lam, Exponential(rate=float(k)), seed=100 + k)
-            bound = bounds.mean_latency_bound_exp(k, lam).value
-            cell_ok = stats.mean <= bound + 3 * stats.std_err
-            ok = ok and cell_ok
-            lines.append(f"k={k} lam={lam}: {stats.mean:.3f}<={bound:.3f}")
+    for (k, lam), stats in zip(cells, runs):
+        bound = bounds.mean_latency_bound_exp(k, lam).value
+        cell_ok = stats.mean <= bound + 3 * stats.std_err
+        ok = ok and cell_ok
+        lines.append(f"k={k} lam={lam}: {stats.mean:.3f}<={bound:.3f}")
     report(3, "exponential mean bound dominates", ok, "; ".join(lines))
 
 
 def test_acceptance_04_general_bound_dominates():
+    laws = {(family, k): chunk_dist(family, k, shift=shift, shape=shape)
+            for family, shift, shape in (("shifted-exponential", 0.1, 1.0), ("weibull", 0.0, 1.5))
+            for k in GRID_KS}
+    cells = [(family, k, lam) for family, k in laws for lam in GRID_LAMBDAS]
+    runs = run_many([_ksplit_config(k, lam, laws[family, k], seed=200 + k)
+                     for family, k, lam in cells])
+    params = {law: subexp_params(chunk) for law, chunk in laws.items()}
     ok, worst = True, (math.inf, "")
-    for family, shift, shape in (("shifted-exponential", 0.1, 1.0), ("weibull", 0.0, 1.5)):
-        for k in GRID_KS:
-            chunk = chunk_dist(family, k, shift=shift, shape=shape)
-            params = subexp_params(chunk)
-            for lam in GRID_LAMBDAS:
-                stats = _ksplit_mean(k, lam, chunk, seed=200 + k)
-                bound = bounds.mean_latency_bound_general(k, lam, params, dist=chunk).value
-                margin = bound + 3 * stats.std_err - stats.mean
-                worst = min(worst, (margin, f"{family} k={k} lam={lam}"))
-                ok = ok and margin >= 0.0
+    for (family, k, lam), stats in zip(cells, runs):
+        chunk = laws[family, k]
+        bound = bounds.mean_latency_bound_general(k, lam, params[family, k], dist=chunk).value
+        margin = bound + 3 * stats.std_err - stats.mean
+        worst = min(worst, (margin, f"{family} k={k} lam={lam}"))
+        ok = ok and margin >= 0.0
     report(4, "sub-exponential mean bound dominates", ok,
            f"tightest cell {worst[1]}, margin {worst[0]:.3f}")
 
@@ -135,7 +139,7 @@ def test_acceptance_04_general_bound_dominates():
 
 
 def test_acceptance_05_least_k_dominates_ksplit():
-    ok, tight = True, math.inf
+    configs = []
     for index, (n, k, d) in enumerate(SWEEP_CODES):
         for lam in SWEEP_LAMBDAS:
             seed = 31_000 + index * 100 + int(lam * 10)
@@ -143,11 +147,14 @@ def test_acceptance_05_least_k_dominates_ksplit():
                 lam=lam, service=Exponential(rate=float(k)),
                 L=1000, seed=seed, warmup_jobs=25_000, measured_jobs=20_000,
             )
-            least = run(ClusterConfig(policy=LeastKOfN(n=n, k=k), **common))
-            split = run(ClusterConfig(policy=KSplit(k=k, d=d), **common))
-            slack = split.mean + 3 * math.hypot(least.std_err, split.std_err) - least.mean
-            tight = min(tight, slack)
-            ok = ok and slack >= 0.0
+            configs += [ClusterConfig(policy=LeastKOfN(n=n, k=k), **common),
+                        ClusterConfig(policy=KSplit(k=k, d=d), **common)]
+    runs = run_many(configs)
+    ok, tight = True, math.inf
+    for least, split in zip(runs[::2], runs[1::2]):
+        slack = split.mean + 3 * math.hypot(least.std_err, split.std_err) - least.mean
+        tight = min(tight, slack)
+        ok = ok and slack >= 0.0
     report(5, "least-loaded-k dominates k-split", ok, f"min slack {tight:.4f}")
 
 

@@ -199,6 +199,14 @@ def test_presets_cover_the_advertised_grid():
         harness.preset("fig9")
 
 
+@pytest.mark.parametrize("name", sorted(harness.PRESETS))
+def test_preset_is_the_config_file_of_its_entries(tmp_path, name):
+    # a preset leaves exactly the seed and the output path to its user
+    assert set(harness.PRESETS[name]) == set(harness._CONFIG_KEYS) - {"sim.seed", "out.path"}
+    text = "".join(f"{key} = {raw}\n" for key, _, raw in harness.preset_entries(name))
+    assert harness.load_config(write(tmp_path, text)) == harness.preset(name)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -318,11 +326,57 @@ def test_cli_figures_exit_1_on_failed_row(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_preset_seed_zero_overrides_preset_seed(monkeypatch):
-    monkeypatch.setitem(harness.PRESETS, "fig5", replace(harness.PRESETS["fig5"], seed=5))
-    parser = cli._build_parser()
-    spec = cli._spec_from_args(parser.parse_args(["sweep", "--preset", "fig5", "--seed", "0"]))
-    assert spec.seed == 0
-    assert cli._spec_from_args(parser.parse_args(["sweep", "--preset", "fig5"])).seed == 5
+    # A preset is config entries, so --seed is one more entry: even 0 is
+    # set, and a preset that set its own seed would make it a duplicate.
+    seeded = {**harness.PRESETS["fig5"], "sim.seed": "5"}
+    monkeypatch.setitem(harness.PRESETS, "fig5", seeded)
+    assert sweep_spec(["--preset", "fig5"]).seed == 5
+    with pytest.raises(harness.ConfigError,
+                       match=r"--seed: duplicate key 'sim.seed' \(first set on preset fig5\)"):
+        sweep_spec(["--preset", "fig5", "--seed", "0"])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cli_seed_joins_a_preset(seed):
+    spec = sweep_spec(["--preset", "fig5", "--seed", str(seed)])
+    assert spec == replace(harness.preset("fig5"), seed=seed)
+
+
+def test_cli_flag_repeating_a_preset_key_names_both_places(capsys):
+    assert cli.main(["sweep", "--preset", "fig5", "--L", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --L: duplicate key 'sim.L' (first set on preset fig5)" in err
+
+
+def test_cli_preset_and_config_are_exclusive(tmp_path, capsys):
+    cfg = write(tmp_path, "experiment = residual-check\nlambda.grid = 0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--preset", "fig5", "--config", cfg])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_cli_figures_and_compare_write_the_same_preset_csv(tmp_path, monkeypatch):
+    small = {**harness.PRESETS["fig5"], "lambda.grid": "0.85", "sim.L": "200",
+             "sim.warmup_jobs": "2000", "sim.measured_jobs": "3000"}
+    monkeypatch.setitem(harness.PRESETS, "fig5", small)
+    figures, compare = tmp_path / "figures", tmp_path / "compare.csv"
+    cli.main(["figures", "--only", "fig5", "--seed", "4", "--out", str(figures)])
+    cli.main(["compare", "--preset", "fig5", "--seed", "4", "--out", str(compare)])
+    assert (figures / "fig5.csv").read_bytes() == compare.read_bytes()
+    row = dict(zip(harness.CSV_COLUMNS, compare.read_text().splitlines()[1].split(",")))
+    assert row["seed"] == str(harness._point_seed(4, 0))
+
+
+def test_cli_sweep_prints_fail_lines_but_exits_0(tmp_path, capsys, monkeypatch):
+    failed = harness.ComparisonRow(
+        "bound-check", "exponential", 1.0, 0.0, 8, 4, 2.0, 0.9, None, 0,
+        sim_mean=1.5, sim_se=0.01, theory=1.2, branch="Phi3", passed=False,
+    )
+    monkeypatch.setattr(harness, "run_sweep", lambda spec, workers=None: [failed])
+    cfg = write(tmp_path, "experiment = bound-check\nlambda.grid = 0.9\ncode.k = 4\n")
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "fail.csv")]) == 0
+    assert "FAIL bound-check exponential n=8 k=4 d=2 lam=0.9" in capsys.readouterr().out
 
 
 def test_cli_dist_help_lists_only_accepted_families(capsys):

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import codedlat
+from codedlat import cli
 
 MODULES = ["codedlat"] + [f"codedlat.{info.name}" for info in pkgutil.iter_modules(codedlat.__path__)]
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -27,3 +29,12 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines()[-1].split()[-1] == "Phi3"
+
+
+def test_readme_config_error_example(capsys, monkeypatch):
+    example = r"```\n\$ (codedlat sweep --config configs/bound-check\.cfg --L 500)\n(.*?)\n```"
+    command, expected = re.search(example, README.read_text()).groups()
+    monkeypatch.chdir(ROOT)
+    assert cli.main(command.split()[1:]) == 2
+    assert capsys.readouterr().err.strip() == expected
+    assert expected == "config error: --L: duplicate key 'sim.L' (first set on line 11)"

@@ -11,12 +11,14 @@ from codedlat import simulator
 from codedlat.simulator import (
     BatchSampling,
     ClusterConfig,
+    GainResult,
     KSplit,
     LeastKOfN,
     NaiveReplication,
     RedundantRequest,
     _draw_distinct,
     empirical_residual,
+    gain_arms,
     gain_experiment,
     run,
     run_many,
@@ -221,6 +223,13 @@ def test_batch_sampling_rate_and_service_convention():
     assert stats.mean == pytest.approx(harmonic(10), abs=0.03)
 
 
+def test_job_rate_divides_by_the_work_per_job():
+    batch = ClusterConfig(0.85, BatchSampling(n=14, k=10), Exponential(rate=1.0), L=500)
+    assert batch.job_rate == 500 * 0.85 / 10
+    split = ClusterConfig(0.85, KSplit(k=10, d=2), Exponential(rate=10.0), L=500)
+    assert split.job_rate == 500 * 0.85
+
+
 def test_event_engine_invariants():
     policies = [
         (NaiveReplication(d=2), Exponential(rate=1.0)),
@@ -358,6 +367,18 @@ def test_gain_experiment_zero_load_matches_closed_form():
     result = gain_experiment(2, 2, 0.01, L=400, warmup_jobs=500, measured_jobs=25_000)
     assert result.gain == pytest.approx(0.25, abs=0.02)
     assert result.std_err < 0.01
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.7, 0.9])
+def test_gain_std_err_matches_the_paired_difference(lam):
+    # the arms share only their arrival epochs, so pairing them per job
+    # leaves the quadrature standard error where it is
+    arms = gain_arms(4, 2, lam, "weibull", seed=3, shape=1.5, L=500,
+                     warmup_jobs=10_000, measured_jobs=10_000)
+    replicated, split = run_many([replace(c, keep_samples=True) for c in arms])
+    diff = replicated.samples - split.samples
+    paired = diff.std(ddof=1) / math.sqrt(diff.size)
+    assert GainResult.of(replicated, split).std_err == pytest.approx(paired, rel=0.03)
 
 
 def test_empirical_residual_matches_renewal_formula():
