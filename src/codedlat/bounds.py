@@ -3,8 +3,10 @@
 The heart of the package: mean and tail latency upper bounds for a
 file split k ways with d-fold probing per chunk, zero-load order
 statistics, redundant-request latencies, the two bounds for
-non-integral probe ratios, and the Monte-Carlo lower bound on the
-latency gain of splitting over plain replication.
+non-integral probe ratios, and the predicted lower bound on the
+latency gain of splitting over plain replication.  Every value is a
+deterministic function of its arguments: closed forms, exact sums and
+quadrature, no sampling.
 
 Log conventions, fixed throughout: terms descending from maximal
 inequalities use natural logs; terms descending from the
@@ -22,8 +24,10 @@ import numpy as np
 from . import distributions as dists
 from .distributions import (
     Exponential,
+    Pareto,
     ServiceDistribution,
     SubExpParams,
+    Weibull,
     canonical_family,
     chunk_dist,
     mgf,
@@ -34,9 +38,9 @@ from .queue_models import (
     BatchSamplingDist,
     DoubleExpTailModel,
     batch_sampling_pmf,
+    double_exp_mean,
     order_stat_expectation,
     pmf_mean,
-    sample_queue_length,
     sum_order_stats,
 )
 
@@ -315,7 +319,9 @@ def tail_latency_bound(k: int, lam: float, epsilon: float, t: float) -> float:
     return min(1.0, k * math.exp(-(k / 2.0) * (t - anchor)) + epsilon)
 
 
-_MC_SAMPLES = 200_000
+# Beyond this split count the alternating inclusion-exclusion sum of
+# zero_load_latency cancels away more than about 1e-8 of its value.
+_MAX_ALTERNATING_K = 32
 
 
 def zero_load_latency(
@@ -325,15 +331,15 @@ def zero_load_latency(
     shift: float = 0.0,
     shape: float = 1.0,
     unit_mean: bool = True,
-    rng=None,
-    samples: int = _MC_SAMPLES,
 ) -> float:
     """Expected slowest chunk of a k-way split hitting empty servers.
 
     Exponential: H(k)/k.  Shifted exponential, unit-mean convention:
     shift/k + H(k)(1-shift)/k; additive convention: shift/k + H(k)/k.
-    Other families fall back to Monte Carlo over ``samples`` draws of
-    the chunk law (deterministic under a fixed ``rng`` seed).
+    Weibull and Pareto chunks: inclusion-exclusion over minima,
+    E[max of k] = sum_{j=1..k} (-1)^(j+1) C(k, j) E[min of j], where the
+    minimum of j draws stays in the family.  The alternating sum
+    cancels, so those two families take k <= 32.
     """
     if k < 1 or k != int(k):
         raise ValueError(f"split count must be a positive integer, got {k}")
@@ -347,13 +353,18 @@ def zero_load_latency(
                 raise ValueError(f"unit-mean shift must lie in [0, 1), got {shift}")
             return shift / k + h * (1.0 - shift) / k
         return shift / k + h / k
+    if k > _MAX_ALTERNATING_K:
+        raise ValueError(f"{fam} zero-load latency needs k <= {_MAX_ALTERNATING_K}, got {k}")
     _, chunk = dists.service_pair(fam, k, shift=shift, shape=shape, unit_mean=unit_mean)
-    if k == 1:
-        return dists.mean(chunk)
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(0 if rng is None else int(rng))
-    draws = dists.sample(chunk, rng, (int(samples), int(k)))
-    return float(draws.max(axis=1).mean())
+    k = int(k)
+    js = range(1, k + 1)
+    # E[min of j]: the min of j draws of Weibull(m, b) is Weibull(m, b j^(-1/m)),
+    # and of Pareto(a, x0) is Pareto(j a, x0)
+    if isinstance(chunk, Weibull):
+        mins = [dists.mean(chunk) * j ** (-1.0 / chunk.shape) for j in js]
+    else:
+        mins = [dists.mean(Pareto(j * chunk.exponent, chunk.minimum)) for j in js]
+    return math.fsum((-1) ** (j + 1) * math.comb(k, j) * m for j, m in zip(js, mins))
 
 
 def zero_load_gain(
@@ -363,8 +374,6 @@ def zero_load_gain(
     shift: float = 0.0,
     shape: float = 1.0,
     unit_mean: bool = True,
-    rng=None,
-    samples: int = _MC_SAMPLES,
 ) -> float:
     """Latency saved by a k-way split over one whole-file replica, empty system.
 
@@ -374,7 +383,7 @@ def zero_load_gain(
     """
     full, _ = dists.service_pair(family, k, shift=shift, shape=shape, unit_mean=unit_mean)
     return dists.mean(full) - zero_load_latency(
-        family, k, shift=shift, shape=shape, unit_mean=unit_mean, rng=rng, samples=samples
+        family, k, shift=shift, shape=shape, unit_mean=unit_mean
     )
 
 
@@ -470,32 +479,17 @@ def bound_II(lam: float, d: float, k: int) -> BoundReport:
 
 @dataclass(frozen=True)
 class GainBound:
-    """Predicted gain of splitting over replication, with its MC error.
+    """Predicted gain of splitting over replication.
 
-    ``replicated_proxy`` is the Monte-Carlo estimate of the expected
-    total service of the jobs an arriving request finds queued under
-    d-choice dispatch; the prediction subtracts the split side's mean
-    latency bound from it.
+    ``replicated_proxy`` is the expected total service of the jobs an
+    arriving request finds queued under d-choice dispatch, exact under
+    the assumed doubly-exponential queue tail; the prediction subtracts
+    the split side's mean latency bound from it.
     """
 
     value: float
-    std_err: float
     replicated_proxy: float
     split_bound: BoundReport
-
-
-def _segment_sums(pool: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Sums of consecutive segments of ``pool`` of lengths ``q`` (zero for q = 0).
-
-    Each is S(end) - S(previous end) of the running sum S, S(0) = 0,
-    which is taken in place: ``pool`` is overwritten.
-    """
-    np.cumsum(pool, out=pool)  # S(e) is now pool[e - 1]
-    ends = np.cumsum(q)
-    at_ends = np.zeros(len(q))
-    hit = ends > 0
-    at_ends[hit] = pool[ends[hit] - 1]
-    return np.diff(at_ends, prepend=0.0)
 
 
 def theoretical_gain(
@@ -506,39 +500,32 @@ def theoretical_gain(
     *,
     shift: float = 0.0,
     shape: float = 1.0,
-    seed: int = 0,
-    samples: int = _MC_SAMPLES,
     m_k: float | None = None,
 ) -> GainBound:
     """Predicted latency gain of a k-way split over d-fold replication.
 
-    Replicated side: Monte Carlo of E[sum of Q whole-file services],
-    Q drawn by treating the doubly-exponential queue-tail bound as an
-    exact CCDF at per-queue load lam with d choices.  Split side: the
-    mean latency bound (exponential form for exponential chunks, the
-    sub-exponential form plus the residual-max term otherwise),
-    extrapolated below lam = 1/k.  Because the proxy omits the
-    arriving job's own service while the sampled tail is fatter than
-    the queue a d-choice job actually joins, the two effects offset
-    and the difference tracks the simulated gain from below across the
-    stable-load range.  ``std_err`` is the Monte-Carlo error of the
-    replicated side; ``m_k`` is passed on to the general mean bound.
+    Replicated side: E[sum of Q whole-file services], with Q's CCDF
+    the doubly-exponential queue-tail bound at per-queue load lam with
+    d choices; by Wald's identity it is E[Q] E[X] =
+    E[X] sum_{r>=1} lam^(d^r).  Split side: the mean latency bound
+    (exponential form for exponential chunks, the sub-exponential form
+    plus the residual-max term otherwise), extrapolated below
+    lam = 1/k.  Because the proxy omits the arriving job's own service
+    while the assumed tail is fatter than the queue a d-choice job
+    actually joins, the two effects offset and the difference tracks
+    the simulated gain from below across the stable-load range.
+    ``m_k`` is passed on to the general mean bound.
     """
     if d < 2 or d != int(d):
         raise ValueError(f"replication factor d must be an integer >= 2, got {d}")
     fam = canonical_family(family)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(90,)))
-    model = DoubleExpTailModel(lam=lam, d=float(d), per_queue_load=lam)
-    q = sample_queue_length(model, rng, int(samples))
     full, _ = dists.service_pair(fam, k, shift=shift, shape=shape)
-    sums = _segment_sums(dists.sample(full, rng, int(q.sum())), q)
-    replicated_proxy = float(sums.mean())
-    std_err = float(sums.std(ddof=1) / math.sqrt(len(sums)))
+    queue = double_exp_mean(DoubleExpTailModel(d=float(d), per_queue_load=lam))
+    replicated_proxy = dists.mean(full) * queue
 
     report = mean_latency_bound(fam, k, lam, shift=shift, shape=shape, m_k=m_k, strict=False)
     return GainBound(
         value=replicated_proxy - report.value,
-        std_err=std_err,
         replicated_proxy=replicated_proxy,
         split_bound=report,
     )

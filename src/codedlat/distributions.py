@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as _gamma
 
 __all__ = [
     "Constant",
@@ -143,6 +141,12 @@ def sample(dist: ServiceDistribution, rng: np.random.Generator, size=None):
     raise TypeError(f"not a service distribution: {dist!r}")
 
 
+def _gamma(x: float) -> float:
+    """scipy's gamma, loaded on first use (math.gamma is an ulp off, moving Weibull scales)."""
+    from scipy.special import gamma
+    return float(gamma(x))
+
+
 def moment(dist: ServiceDistribution, order: int) -> float:
     """Raw moment E[X^order], in closed form for every family.
 
@@ -162,7 +166,7 @@ def moment(dist: ServiceDistribution, order: int) -> float:
             for i in range(n + 1)
         )
     if isinstance(dist, Weibull):
-        return dist.scale**n * float(_gamma(1.0 + n / dist.shape))
+        return dist.scale**n * _gamma(1.0 + n / dist.shape)
     if isinstance(dist, Pareto):
         if dist.exponent <= n:
             raise ValueError(
@@ -207,6 +211,7 @@ def _quad_mgf(log_integrand, lo: float, start: float) -> float:
         if log_integrand(hi) < _LOG_TAIL and log_integrand(hi) <= log_integrand(hi / 2):
             break
         hi *= 2.0
+    from scipy import integrate
     val, _err = integrate.quad(
         lambda x: math.exp(log_integrand(x)), lo, hi, epsabs=_ABS_TOL, epsrel=1e-10, limit=200
     )
@@ -304,7 +309,7 @@ def chunk_dist(
             raise ValueError(f"shift must lie in [0, 1) for unit mean, got {shift}")
         return ShiftedExponential(shift=shift / k, rate=k / (1.0 - shift))
     if fam == "weibull":
-        return Weibull(shape=shape, scale=1.0 / (k * float(_gamma(1.0 + 1.0 / shape))))
+        return Weibull(shape=shape, scale=1.0 / (k * _gamma(1.0 + 1.0 / shape)))
     if fam == "pareto":
         if shape <= 1.0:
             raise ValueError(f"Pareto tail exponent must exceed 1 for a finite mean, got {shape}")

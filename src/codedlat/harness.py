@@ -12,7 +12,9 @@ Experiment kinds and their pass rules (tolerances are one-sided at
 
 * ``gain-sweep``      simulated replication-minus-split gain; passes
                       when the gain is positive and at least the
-                      analytical prediction minus 3 s.e.
+                      analytical prediction minus 3 s.e.  The
+                      prediction is a deterministic function of the
+                      code, load and service law, not of the seed.
 * ``bound-check``     simulated k-split mean; passes when it does not
                       exceed the mean latency bound plus 3 s.e.
 * ``tail-check``      empirical P(latency > t); passes when it does
@@ -21,8 +23,11 @@ Experiment kinds and their pass rules (tolerances are one-sided at
 * ``batch-sampling``  simulated batch-dispatch mean; passes when
                       mean <= tight bound + 3 s.e. <= loose bound and
                       the moment-space bound also dominates the mean.
-* ``residual-check``  busy-server residual; passes when it matches the
-                      renewal formula within 2 percent.
+* ``residual-check``  busy-server residual of one M/G/1 queue over
+                      ``sim.measured_jobs`` arrivals after
+                      ``sim.warmup_jobs`` (default 180,000 after
+                      20,000); passes when it matches the renewal
+                      formula within 2 percent.
 
 :func:`build_spec` builds every spec from ``key=value`` entries: the
 lines of a flat UTF-8 config file (``#`` starts a comment), a preset
@@ -375,9 +380,8 @@ def _point_configs(spec: SweepSpec, code, lam: float, seed: int) -> tuple[Cluste
 def _gain_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None, stats) -> list[ComparisonRow]:
     n, k, d = code
     sim = GainResult.of(*stats)
-    theory = bounds.theoretical_gain(
-        d, k, lam, spec.family, shift=spec.shift, shape=spec.shape, seed=seed, m_k=m_k
-    )
+    theory = bounds.theoretical_gain(d, k, lam, spec.family, shift=spec.shift, shape=spec.shape,
+                                     m_k=m_k)
     passed = sim.gain > 0.0 and sim.gain >= theory.value - 3.0 * sim.std_err
     return [ComparisonRow(
         spec.experiment, spec.family, spec.shape, spec.shift,
@@ -447,11 +451,9 @@ def _batch_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stats) 
 def _residual_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stats) -> list[ComparisonRow]:
     n, k, d = code
     service = dists.service_pair(spec.family, max(k, 1), shift=spec.shift, shape=spec.shape)[0]
-    sim = empirical_residual(
-        service, lam, seed=seed,
-        jobs=spec.measured_jobs or 200_000,
-        warmup=spec.warmup_jobs,
-    )
+    warmup = 20_000 if spec.warmup_jobs is None else spec.warmup_jobs
+    sim = empirical_residual(service, lam, seed=seed,
+                             jobs=warmup + (spec.measured_jobs or 180_000), warmup=warmup)
     theory = bounds.residual_moment(service, 1)
     passed = abs(sim - theory) <= 0.02 * theory
     return [ComparisonRow(

@@ -19,7 +19,7 @@ import numpy as np
 __all__ = [
     "DoubleExpTailModel",
     "double_exp_ccdf",
-    "sample_queue_length",
+    "double_exp_mean",
     "BatchSamplingDist",
     "batch_sampling_pmf",
     "order_stat_expectation",
@@ -32,14 +32,11 @@ __all__ = [
 class DoubleExpTailModel:
     """Tail P(Q >= r) <= c_u * per_queue_load^(d^r) for r >= 1."""
 
-    lam: float
     d: float
     per_queue_load: float
     c_u: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"arrival intensity must lie in (0, 1), got {self.lam}")
         if not self.d > 1.0:
             raise ValueError(f"choice count d must exceed 1, got {self.d}")
         if not 0.0 < self.per_queue_load < 1.0:
@@ -62,20 +59,21 @@ def double_exp_ccdf(model: DoubleExpTailModel, r: float) -> float:
     return min(1.0, model.c_u * math.exp(exponent))
 
 
-def sample_queue_length(model: DoubleExpTailModel, rng: np.random.Generator, size=None):
-    """Draw queue lengths whose tail matches ``double_exp_ccdf`` for r >= 1.
+def double_exp_mean(model: DoubleExpTailModel) -> float:
+    """E[Q] = sum over r >= 1 of P(Q >= r), P(Q >= r) = ``double_exp_ccdf``.
 
-    P(Q >= r) = min(1, c_u * load^(d^r)) for every integer r >= 1 and
-    P(Q >= 0) = 1, which is the tightest valid CCDF under the model.
-    Inverse transform: Q >= r iff ln(U/c_u)/ln(load) >= d^r.
+    The mean of the queue length whose CCDF is the clamped tail for
+    every integer r >= 1 (and 1 at r = 0), the tightest valid law under
+    the model.  The terms fall doubly exponentially, so the sum stops at
+    the first one that no longer changes it.
     """
-    scalar = size is None
-    u = rng.random(1 if scalar else size)
-    x = np.log(u / model.c_u) / math.log(model.per_queue_load)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.floor(np.log(np.maximum(x, 1e-300)) / math.log(model.d))
-    q = np.where(x < model.d, 0.0, q).astype(np.int64)
-    return int(q[0]) if scalar else q
+    total, r = 0.0, 1
+    while True:
+        term = double_exp_ccdf(model, r)
+        if total + term == total:
+            return total
+        total += term
+        r += 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -250,6 +250,23 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     assert "1 rows" in capsys.readouterr().out
 
 
+def test_residual_check_measures_its_jobs_after_warmup(tmp_path, monkeypatch):
+    # sim.measured_jobs counts arrivals after sim.warmup_jobs, as in every other kind
+    calls = []
+    real = harness.empirical_residual
+
+    def recording(service, lam, **kwargs):
+        calls.append((kwargs["jobs"], kwargs["warmup"]))
+        return real(service, lam, **kwargs)
+
+    monkeypatch.setattr(harness, "empirical_residual", recording)
+    base = ["sweep", "--experiment", "residual-check", "--lambda", "0.5"]
+    short = base + ["--warmup-jobs", "5000", "--measured-jobs", "1000"]
+    assert cli.main(short + ["--out", str(tmp_path / "short.csv")]) == 0
+    assert cli.main(base + ["--out", str(tmp_path / "default.csv")]) == 0
+    assert calls == [(6000, 5000), (200_000, 20_000)]
+
+
 def test_cli_out_dir_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CODEDLAT_OUT", str(tmp_path))
     code = cli.main([

@@ -1,8 +1,11 @@
 import contextlib
 import importlib
 import io
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,23 @@ def test_readme_config_error_example(capsys, monkeypatch):
     assert cli.main(command.split()[1:]) == 2
     assert capsys.readouterr().err.strip() == expected
     assert expected == "config error: --L: duplicate key 'sim.L' (first set on line 11)"
+
+
+def test_exponential_runs_and_bounds_do_not_import_scipy():
+    # scipy is needed only for the gamma function and quadrature of the
+    # Weibull and Pareto laws; it makes up most of the package's import time
+    script = (
+        "import sys\n"
+        "import codedlat.cli\n"
+        "from codedlat import bounds, simulator\n"
+        "from codedlat.distributions import Exponential\n"
+        "simulator.run(simulator.ClusterConfig(0.5, simulator.KSplit(k=2, d=2),"
+        " Exponential(rate=2.0), L=50, warmup_jobs=100, measured_jobs=100))\n"
+        "bounds.mean_latency_bound('exponential', 4, 0.5)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

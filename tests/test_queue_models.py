@@ -9,49 +9,36 @@ from codedlat.queue_models import (
     DoubleExpTailModel,
     batch_sampling_pmf,
     double_exp_ccdf,
+    double_exp_mean,
     order_stat_expectation,
     pmf_mean,
-    sample_queue_length,
     sum_order_stats,
 )
 
-RNG_SEED = 812103
-
 
 def test_double_exp_ccdf_values():
-    m = DoubleExpTailModel(lam=0.9, d=2.0, per_queue_load=0.9)
+    m = DoubleExpTailModel(d=2.0, per_queue_load=0.9)
     assert double_exp_ccdf(m, 1) == pytest.approx(0.81)
     assert double_exp_ccdf(m, 2) == pytest.approx(0.9**4)
     assert double_exp_ccdf(m, 3) == pytest.approx(0.9**8)
-    loose = DoubleExpTailModel(lam=0.9, d=2.0, per_queue_load=0.9, c_u=2.0)
+    loose = DoubleExpTailModel(d=2.0, per_queue_load=0.9, c_u=2.0)
     assert double_exp_ccdf(loose, 1) == 1.0  # clamp
     assert double_exp_ccdf(m, 40) == 0.0  # underflow is fine
 
 
 def test_double_exp_ccdf_monotone():
-    m = DoubleExpTailModel(lam=0.7, d=1.4, per_queue_load=0.7)
+    m = DoubleExpTailModel(d=1.4, per_queue_load=0.7)
     values = [double_exp_ccdf(m, r) for r in range(0, 12)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def test_sample_queue_length_matches_ccdf():
-    m = DoubleExpTailModel(lam=0.9, d=2.0, per_queue_load=0.9)
-    rng = np.random.default_rng(RNG_SEED)
-    q = sample_queue_length(m, rng, 400_000)
-    for r in (1, 2, 3, 4):
-        target = double_exp_ccdf(m, r)
-        emp = np.mean(q >= r)
-        se = math.sqrt(target * (1.0 - target) / len(q))
-        assert abs(emp - target) < 5 * se
-    # mean of the sampled law: sum over r >= 1 of the clamped tail
-    expect = sum(double_exp_ccdf(m, r) for r in range(1, 60))
-    assert q.mean() == pytest.approx(expect, abs=5 * q.std() / math.sqrt(len(q)))
-
-
-def test_sample_queue_length_scalar():
-    m = DoubleExpTailModel(lam=0.5, d=2.0, per_queue_load=0.5)
-    rng = np.random.default_rng(RNG_SEED)
-    assert isinstance(sample_queue_length(m, rng), int)
+def test_double_exp_mean_sums_the_clamped_tail():
+    for c_u in (1.0, 2.0):
+        m = DoubleExpTailModel(d=2.0, per_queue_load=0.9, c_u=c_u)
+        expect = sum(min(1.0, c_u * 0.9 ** (2**r)) for r in range(1, 60))
+        assert double_exp_mean(m) == pytest.approx(expect, rel=1e-14)
+    # a load far below one leaves nothing queued
+    assert double_exp_mean(DoubleExpTailModel(d=3.0, per_queue_load=1e-300)) == 0.0
 
 
 def test_batch_sampling_pmf_reference_point():
@@ -128,9 +115,9 @@ def test_order_stats_sum_identity_and_monotonicity(pmf, n):
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        DoubleExpTailModel(lam=1.0, d=2.0, per_queue_load=0.5)
+        DoubleExpTailModel(d=2.0, per_queue_load=1.0)
     with pytest.raises(ValueError):
-        DoubleExpTailModel(lam=0.5, d=1.0, per_queue_load=0.5)
+        DoubleExpTailModel(d=1.0, per_queue_load=0.5)
     with pytest.raises(ValueError):
         BatchSamplingDist(lam=0.5, probe_ratio=1.4, q_max=1, pmf=np.array([0.7, 0.7]))
 
