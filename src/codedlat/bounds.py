@@ -23,7 +23,6 @@ import numpy as np
 
 from . import distributions as dists
 from .distributions import (
-    Exponential,
     Pareto,
     ServiceDistribution,
     SubExpParams,
@@ -35,7 +34,6 @@ from .distributions import (
 )
 from .golden import golden_section_min
 from .queue_models import (
-    BatchSamplingDist,
     DoubleExpTailModel,
     batch_sampling_pmf,
     double_exp_mean,

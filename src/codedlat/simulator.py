@@ -13,8 +13,10 @@ is fixed when it is dispatched; under purging (``RedundantRequest``)
 each task leaves its server at the earlier of its own departure and
 that time.  ``run_many`` advances many non-purging runs (the points of
 a sweep) in lockstep as numpy lanes, counting each queue from a ring of
-its server's pending departures.  The event engine processes each
-completion and purge from an explicit heap and is the oracle for both.
+its server's pending departures.  The event engine, the oracle for
+both, processes each completion from an explicit heap: a purged task
+leaves its queue at once, and every run checks that no task finishes
+before its service is done and that every job completes.
 Every run consumes its own three RNG streams (arrivals, selection,
 service), each drawn in whole blocks (selection candidates as blocks of
 server rows), which is what makes the outputs interchangeable.
@@ -203,8 +205,7 @@ class ClusterConfig:
     warmup_jobs: int | None = None
     measured_jobs: int | None = None
     keep_samples: bool = False
-    engine: str = "fast"  # or "event", the oracle
-    check_invariants: bool = False  # event engine only
+    engine: str = "fast"  # or "event", the oracle, which checks its own events
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -464,8 +465,10 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
     Each lane has its own streams and servers: rows of one ring of every
     server's last ``depth`` departures, so a queue length is the count of
     slots ahead of t (the strict ``dep > t`` rule); a write over a slot
-    still ahead of t doubles the depth first.  Selection is a stable
-    argsort of (group id, queue length), then the policy's positions.
+    still ahead of t doubles the depth first.  FCFS departures never
+    decrease, so a server's last departure is its newest slot, the one
+    before its write pointer (``_grow`` keeps it there).  Selection is a
+    stable argsort of (group id, queue length), then the policy's positions.
     Lanes are padded to a common width with columns at private dummy
     servers that sort last and get zero-service padding tasks.
     """
@@ -496,7 +499,6 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
     depth = _RING
     ring = np.zeros((servers, depth))
     wp = np.zeros(servers, dtype=np.int64)
-    last = np.zeros(servers)
     key_base = gid * (depth + 1)
     lat = np.empty((R, measured))
     counts = np.zeros((R, 1), dtype=np.int64)
@@ -528,11 +530,10 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
                 depth = ring.shape[1]
                 key_base = gid * (depth + 1)
             w = wp[s]
-            np.maximum(last[s], flat_task[j], out=dep)
+            np.maximum(ring[s, w - 1], flat_task[j], out=dep)
             dep += flat_svc[j]
             ring[s, w] = dep
             wp[s] = (w + 1) % depth
-            last[s] = dep
         first = max(warmup - j0, 0)
         if first < J:
             done = j0 + first - warmup
@@ -549,44 +550,40 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
 # event engine: explicit completion heap, the oracle for the fast paths
 
 class _Task:
-    __slots__ = ("job", "svc", "server", "cancelled", "done")
+    __slots__ = ("job", "svc", "server", "done")
 
     def __init__(self, job, svc, server):
         self.job = job
         self.svc = svc
         self.server = server
-        self.cancelled = False
         self.done = False
 
 
 class _Job:
-    __slots__ = ("t", "idx", "remaining", "tasks", "max_done_svc")
+    __slots__ = ("t", "idx", "remaining", "tasks")
 
     def __init__(self, t, idx, remaining):
         self.t = t
         self.idx = idx
         self.remaining = remaining
         self.tasks = ()
-        self.max_done_svc = 0.0
 
 
 def _run_event(config: ClusterConfig):
     # Only completions live in the heap, ordered by (time, seq).  Each
     # arrival first processes every completion at or before its epoch,
     # so it sees those tasks gone, matching the fast engine's strict
-    # departure > t queue count.
+    # departure > t queue count.  A purged task leaves its queue at once.
     L = config.L
     warmup, measured = config.warmup_jobs, config.measured_jobs
     total = warmup + measured
-    check = config.check_invariants
     arrivals, sel_rng, service = _streams(config.seed, config.job_rate, config.service)
     select = _make_selector(config.policy, L, sel_rng)
     shape = _shape(config.policy)
     n_tasks, needed = shape.tasks, shape.needed
 
-    queues = [deque() for _ in range(L)]  # may still hold cancelled tasks
+    queues = [deque() for _ in range(L)]  # tasks waiting behind the one in service
     current: list[_Task | None] = [None] * L
-    live = [0] * L  # tasks queued or in service, cancelled ones excluded
     heap: list[tuple] = []
     seq = 0
     lat = np.empty(measured)
@@ -596,52 +593,37 @@ def _run_event(config: ClusterConfig):
     def start_next(s, now):
         nonlocal seq
         q = queues[s]
-        while q:
-            nxt = q.popleft()
-            if nxt.cancelled:
-                continue
-            current[s] = nxt
+        if q:
+            nxt = current[s] = q.popleft()
             seq += 1
             heappush(heap, (now + nxt.svc, seq, s, nxt))
-            return
-        current[s] = None
+        else:
+            current[s] = None
 
-    def checked_qlen(s):
-        n = live[s]
-        if n != sum(not x.cancelled for x in queues[s]) + (current[s] is not None):
-            raise AssertionError("probed queue length differs from its live tasks")
-        return n
-
-    qlen = checked_qlen if check else live.__getitem__
+    def qlen(s):
+        return len(queues[s]) + (current[s] is not None)
 
     def complete(t, _, s, task):
         nonlocal jobs_done
         if current[s] is not task:
             return  # purged mid-service; obsolete event
-        if check and t < task.job.t + task.svc - 1e-9:
+        job = task.job
+        if t < job.t + task.svc - 1e-9:
             raise AssertionError("task finished before its service demand")
         task.done = True
-        live[s] -= 1
         start_next(s, t)
-        if check and current[s] is None and queues[s]:
-            raise AssertionError("idle server with queued work")
-        job = task.job
-        if task.svc > job.max_done_svc:
-            job.max_done_svc = task.svc
         job.remaining -= 1
         if job.remaining == 0:
             jobs_done += 1
             if job.idx >= warmup:
                 lat[job.idx - warmup] = t - job.t
-            if check and t - job.t < job.max_done_svc - 1e-9:
-                raise AssertionError("job latency below its largest completed service")
             for sib in job.tasks:  # purge the tasks still outstanding
-                if sib.done or sib.cancelled:
+                if sib.done:
                     continue
-                sib.cancelled = True
-                live[sib.server] -= 1
                 if current[sib.server] is sib:
                     start_next(sib.server, t)
+                else:
+                    queues[sib.server].remove(sib)
             job.tasks = ()  # no job <-> task cycle: a finished job is freed without the GC
 
     t = 0.0
@@ -657,7 +639,6 @@ def _run_event(config: ClusterConfig):
             s = chosen[i]
             task = _Task(job, svc[i], s)
             tasks.append(task)
-            live[s] += 1
             if current[s] is None:
                 current[s] = task
                 seq += 1
@@ -670,7 +651,7 @@ def _run_event(config: ClusterConfig):
     while heap:
         complete(*heappop(heap))
 
-    if check and any(c is not None for c in current):
+    if any(c is not None for c in current):
         raise AssertionError("a server still busy after the drain")
     if jobs_done != total:
         raise RuntimeError(f"only {jobs_done} of {total} jobs completed")

@@ -2,7 +2,6 @@ import os
 import re
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from codedlat import cli, harness, simulator

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import io
@@ -61,3 +62,28 @@ def test_exponential_runs_and_bounds_do_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads; ``__all__`` entries count as read."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src" / "codedlat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert [hit for path in files for hit in _unused_imports(path)] == []
