@@ -184,8 +184,6 @@ def _split_levels(k: int, lam: float, strict: bool):
         )
     lg_k = math.log2(k)
     lg_k_over_lam = math.log2(k / lam)
-    if lg_k_over_lam <= 0.0 or 4.0 * lg_k <= 0.0:
-        raise ValueError(f"inner logs must be positive (k={k}, lam={lam})")
     r_exp = math.log2(4.0 * lg_k) - math.log2(lg_k_over_lam)
     spill = 2.0 * lg_k_over_lam / (4.0 * k**4 * lg_k)
     return r_exp, spill
@@ -285,15 +283,16 @@ def mean_latency_bound(
         k, lam, dists.subexp_params(chunk), m_k=m_k, dist=chunk, strict=strict)
 
 
-def tail_latency_bound(k: int, lam: float, epsilon: float, t: float) -> float:
+def tail_latency_bound(k: int, lam: float, epsilon: float, t: float) -> BoundReport:
     """Upper bound on P(latency > t) for exponential chunks, k-way split.
 
-    The queue level r = lg(lg(eps/k) / lg(lam/k)) makes the event
+    The queue level r = lg(ln(eps/k) / ln(lam/k)) makes the event
     "some chunk queue exceeds r" cost at most eps; on its complement
     the latency is a sum of at most r exponentials per branch, giving a
     Gaussian regime on [r/k, 2r/k] and an exponential regime beyond.
-    Below r/k the concentration step is vacuous and the bound clamps
-    to 1.
+    Below the anchor r/k the concentration step is vacuous and the
+    bound clamps to 1.  ``branch`` names the regime (Unit, Gauss, Exp);
+    ``auxiliary`` holds r and the anchor.
     """
     if k < 2 or k != int(k):
         raise ValueError(f"split count k must be an integer >= 2, got {k}")
@@ -310,11 +309,13 @@ def tail_latency_bound(k: int, lam: float, epsilon: float, t: float) -> float:
         )
     r = math.log2(ratio)
     anchor = r / k
+    aux = {"queue_level": r, "anchor": anchor}
     if t < anchor:
-        return 1.0
+        return BoundReport(1.0, "Unit", aux)
     if t <= 2.0 * anchor:
-        return min(1.0, k * math.exp(-(k**2) * (t - anchor) ** 2 / (2.0 * r)) + epsilon)
-    return min(1.0, k * math.exp(-(k / 2.0) * (t - anchor)) + epsilon)
+        gauss = k * math.exp(-(k**2) * (t - anchor) ** 2 / (2.0 * r))
+        return BoundReport(min(1.0, gauss + epsilon), "Gauss", aux)
+    return BoundReport(min(1.0, k * math.exp(-(k / 2.0) * (t - anchor)) + epsilon), "Exp", aux)
 
 
 # Beyond this split count the alternating inclusion-exclusion sum of

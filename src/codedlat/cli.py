@@ -186,9 +186,9 @@ def _cmd_bound(args) -> int:
     if (args.epsilon is None) != (args.t is None):
         raise harness.ConfigError("tail bound needs both --epsilon and --t")
     if args.epsilon is not None:
-        value = bounds.tail_latency_bound(args.k, args.lam, args.epsilon, args.t)
-        print(f"value = {value:.6g}")
-        print(f"P(latency > {args.t:g}) <= {value:.6g}")
+        report = bounds.tail_latency_bound(args.k, args.lam, args.epsilon, args.t)
+        _print_report(report)
+        print(f"P(latency > {args.t:g}) <= {report.value:.6g}")
         return 0
     _print_report(bounds.mean_latency_bound(args.dist, args.k, args.lam, shift=args.shift,
                                             shape=args.shape, strict=not args.loose))

@@ -411,20 +411,17 @@ def _tail_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stats) -
     n, k, d = code
     samples = stats[0].samples
     assert samples is not None
-    level = math.log2(math.log(_TAIL_EPSILON / k) / math.log(lam / k))
-    anchor = level / k
+    # the thresholds run from the bound's anchor r/k, which any of its reports carries
+    anchor = bounds.tail_latency_bound(k, lam, _TAIL_EPSILON, 0.0).auxiliary["anchor"]
     rows = []
-    for t in np.linspace(anchor, 6.0 * anchor, _TAIL_POINTS):
-        t = float(t)
+    for t in np.linspace(anchor, 6.0 * anchor, _TAIL_POINTS).tolist():
         p_hat = float(np.mean(samples > t))
         se = math.sqrt(p_hat * (1.0 - p_hat) / len(samples))
         bound = bounds.tail_latency_bound(k, lam, _TAIL_EPSILON, t)
-        regime = "Unit" if t < anchor else ("Gauss" if t <= 2.0 * anchor else "Exp")
-        passed = p_hat <= bound + 3.0 * se
         rows.append(ComparisonRow(
             spec.experiment, spec.family, spec.shape, spec.shift,
             n, k, float(d), lam, t, seed,
-            p_hat, se, bound, regime, passed,
+            p_hat, se, bound.value, bound.branch, p_hat <= bound.value + 3.0 * se,
         ))
     return rows
 

@@ -781,7 +781,6 @@ def empirical_residual(
     arrivals, _, svc = _streams(seed, arrival_rate, service)
 
     pending = deque()
-    last_dep = 0.0
     t = 0.0
     acc = 0.0
     busy = 0
@@ -792,10 +791,8 @@ def empirical_residual(
         if j >= warmup and pending:
             acc += pending[0] - t
             busy += 1
-        start = last_dep if last_dep > t else t
-        dep = start + svc.take1()
-        pending.append(dep)
-        last_dep = dep
+        start = pending[-1] if pending else t
+        pending.append(start + svc.take1())
     if busy == 0:
         raise RuntimeError("no busy arrivals observed; increase jobs or the arrival rate")
     return acc / busy

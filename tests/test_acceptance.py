@@ -364,7 +364,7 @@ def test_acceptance_13_tail_bound_dominates_empirical_ccdf():
     ok, worst = True, math.inf
     for t in np.linspace(anchor, 6 * anchor, 13):
         emp = float(np.mean(samples > t))
-        cap = bounds.tail_latency_bound(k, lam, eps, float(t))
+        cap = bounds.tail_latency_bound(k, lam, eps, float(t)).value
         ok = ok and emp <= cap
         worst = min(worst, cap - emp)
     report(13, "tail bound dominates empirical CCDF", ok,

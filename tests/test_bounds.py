@@ -197,7 +197,7 @@ def test_m_k_weibull_evaluates_coarse_grid_once(monkeypatch):
 
 
 @pytest.mark.parametrize("k,want", [
-    (2, 0.8145601269601256), (3, 0.6388517961001472), (4, 0.5246931051519599),
+    (2, 0.8145601269601196), (3, 0.6388517961001366), (4, 0.524693105151959),
 ])
 def test_m_k_weibull_reference_values_bit_exact(k, want):
     assert bounds.m_k_bound(chunk_dist("weibull", k, shape=1.5), k) == want
@@ -299,14 +299,25 @@ def test_redundant_request_latency():
 
 
 def test_tail_bound_reference_points():
-    assert bounds.tail_latency_bound(4, 0.5, 0.01, 0.1) == 1.0
-    assert bounds.tail_latency_bound(4, 0.5, 0.01, 1.5) == pytest.approx(0.437265639, abs=1e-9)
-    assert bounds.tail_latency_bound(4, 0.5, 0.01, 60.0) == pytest.approx(0.01, abs=1e-12)
+    assert bounds.tail_latency_bound(4, 0.5, 0.01, 0.1).value == 1.0
+    assert bounds.tail_latency_bound(4, 0.5, 0.01, 1.5).value == pytest.approx(0.437265639, abs=1e-9)
+    assert bounds.tail_latency_bound(4, 0.5, 0.01, 60.0).value == pytest.approx(0.01, abs=1e-12)
+
+
+def test_tail_bound_reports_its_regime():
+    k, lam, eps = 4, 0.5, 0.01
+    level = math.log2(math.log(eps / k) / math.log(lam / k))
+    anchor = level / k
+    report = bounds.tail_latency_bound(k, lam, eps, 0.0)
+    assert report.auxiliary == {"queue_level": level, "anchor": anchor}
+    for t, regime in [(0.0, "Unit"), (np.nextafter(anchor, 0.0), "Unit"), (anchor, "Gauss"),
+                      (2.0 * anchor, "Gauss"), (np.nextafter(2.0 * anchor, 9.0), "Exp")]:
+        assert bounds.tail_latency_bound(k, lam, eps, float(t)).branch == regime
 
 
 def test_tail_bound_monotone_and_clamped():
     grid = np.linspace(0.0, 6.0, 200)
-    vals = [bounds.tail_latency_bound(4, 0.5, 0.01, float(t)) for t in grid]
+    vals = [bounds.tail_latency_bound(4, 0.5, 0.01, float(t)).value for t in grid]
     assert all(0.0 < v <= 1.0 for v in vals)
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 

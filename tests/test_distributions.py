@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +88,46 @@ def test_quadrature_mgf_matches_monte_carlo():
         mc = np.exp(s * draws).mean()
         mc_se = np.exp(s * draws).std() / math.sqrt(len(draws))
         assert abs(mgf(w, s) - mc) < 5 * mc_se
+
+
+def _weibull_edge(shape):
+    """s * scale at which the Weibull MGF's exponent s x - (x/scale)^shape peaks at 700."""
+    return shape * (700.0 / (shape - 1.0)) ** ((shape - 1.0) / shape)
+
+
+def _weibull_mgf_reference(dist, s):
+    """30-digit E[exp(sX)]: u = (x/scale)^shape is Exp(1), so integrate exp(c u^(1/shape) - u)."""
+    with mpmath.workdps(30):
+        m, c = mpmath.mpf(dist.shape), mpmath.mpf(s * dist.scale)
+        points = [0, 1, mpmath.inf]
+        if c > 0 and m > 1:
+            u_star = (c / m) ** (m / (m - 1))
+            points = [0, u_star / 4, u_star, 4 * u_star + 10, mpmath.inf]
+        return mpmath.quad(lambda u: mpmath.exp(c * u ** (1 / m) - u), points)
+
+
+@pytest.mark.parametrize("shape", [0.7, 1.0, 1.05, 1.5, 2.0, 3.0])
+def test_weibull_mgf_matches_high_precision_reference(shape):
+    dist = Weibull(shape=shape, scale=0.5)
+    # s * scale from -3 up to the domain's end, or to the 700 overflow guard's edge
+    top = -0.05 if shape < 1.0 else 0.95 if shape == 1.0 else _weibull_edge(shape) * (1 - 1e-6)
+    for sb in np.linspace(-3.0, top, 9):
+        s = float(sb) / dist.scale
+        want = _weibull_mgf_reference(dist, s)
+        assert abs(mgf(dist, s) - want) <= 1e-11 * want, (shape, s)
+    if shape > 1.0:
+        assert mgf(dist, _weibull_edge(shape) * (1 + 1e-6) / dist.scale) == math.inf
+
+
+@pytest.mark.parametrize("exponent", [1.2, 2.0, 4.0])
+def test_pareto_mgf_matches_high_precision_reference(exponent):
+    dist = Pareto(exponent=exponent, minimum=0.5)
+    for s in (-0.01, -0.3, -1.0, -5.0, -30.0):
+        with mpmath.workdps(30):
+            # E[exp(sX)] = a c^a Gamma(-a, c) with c = -s * minimum
+            a, c = mpmath.mpf(exponent), mpmath.mpf(-s * dist.minimum)
+            want = a * c**a * mpmath.gammainc(-a, c)
+        assert abs(mgf(dist, s) - want) <= 1e-11 * want, (exponent, s)
 
 
 def test_mgf_domain_sup():

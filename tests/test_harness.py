@@ -1,10 +1,12 @@
+import itertools
+import math
 import os
 import re
 from dataclasses import replace
 
 import pytest
 
-from codedlat import cli, harness, simulator
+from codedlat import bounds, cli, harness, simulator
 from codedlat import distributions as dists
 from codedlat.distributions import Exponential
 from codedlat.simulator import ClusterConfig, KSplit
@@ -118,6 +120,22 @@ LANE_SPECS = [
 ]
 
 
+def test_tail_rows_take_regime_and_bound_from_the_tail_bound():
+    spec = LANE_SPECS[2]
+    rows = harness.run_sweep(spec)
+    assert len(rows) == len(spec.lam_grid) * len(spec.codes) * harness._TAIL_POINTS
+    for row in rows:
+        report = bounds.tail_latency_bound(row.k, row.lam, harness._TAIL_EPSILON, row.t)
+        assert (row.theory, row.branch) == (report.value, report.branch)
+        # the thresholds run from the anchor r/k to 6 r/k, through the Gauss and Exp regimes
+        anchor = math.log2(math.log(harness._TAIL_EPSILON / row.k) / math.log(row.lam / row.k)) / row.k
+        assert anchor <= row.t <= 6.0 * anchor
+        assert row.branch == ("Gauss" if row.t <= 2.0 * anchor else "Exp")
+    for (_, k, _), lam in itertools.product(spec.codes, spec.lam_grid):
+        first = min(row.t for row in rows if (row.k, row.lam) == (k, lam))
+        assert first == bounds.tail_latency_bound(k, lam, harness._TAIL_EPSILON, 0.0).auxiliary["anchor"]
+
+
 @pytest.mark.parametrize("spec", LANE_SPECS, ids=lambda spec: spec.experiment)
 def test_lockstep_sweep_csv_matches_scalar_and_parallel_runs(spec, monkeypatch):
     lanes = harness.render_csv(harness.run_sweep(spec))
@@ -222,7 +240,9 @@ def test_cli_bound_prints_branch_and_value(capsys):
 def test_cli_bound_tail_mode(capsys):
     assert cli.main(["bound", "--k", "4", "--lambda", "0.5",
                      "--epsilon", "0.01", "--t", "1.5"]) == 0
-    assert "0.437266" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "0.437266" in out
+    assert "branch = Exp" in out
 
 
 def test_cli_sweep_empty_lambda_grid_exits_2(tmp_path, capsys):

@@ -44,9 +44,17 @@ def test_readme_config_error_example(capsys, monkeypatch):
     assert expected == "config error: --L: duplicate key 'sim.L' (first set on line 11)"
 
 
+def _run_fresh(script: str) -> str:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.strip()
+
+
 def test_exponential_runs_and_bounds_do_not_import_scipy():
-    # scipy is needed only for the gamma function and quadrature of the
-    # Weibull and Pareto laws; it makes up most of the package's import time
+    # scipy is needed only for the gamma function of the Weibull law; it
+    # makes up most of the package's import time
     script = (
         "import sys\n"
         "import codedlat.cli\n"
@@ -57,11 +65,20 @@ def test_exponential_runs_and_bounds_do_not_import_scipy():
         "bounds.mean_latency_bound('exponential', 4, 0.5)\n"
         "print('scipy' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert _run_fresh(script) == "False"
+
+
+def test_mgfs_without_closed_form_do_not_import_scipy_integrate():
+    # the Weibull and Pareto MGFs are a numpy trapezoid rule, not scipy quadrature
+    script = (
+        "import sys\n"
+        "from codedlat import bounds\n"
+        "from codedlat.distributions import Pareto, chunk_dist, mgf\n"
+        "bounds.m_k_bound(chunk_dist('weibull', 4, shape=1.5), 4)\n"
+        "mgf(Pareto(exponent=2.0, minimum=0.5), -1.0)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    assert _run_fresh(script) == "False"
 
 
 def _unused_imports(path):
