@@ -52,31 +52,22 @@ def _run_fresh(script: str) -> str:
     return out.stdout.strip()
 
 
-def test_exponential_runs_and_bounds_do_not_import_scipy():
-    # scipy is needed only for the gamma function of the Weibull law; it
-    # makes up most of the package's import time
+def test_runs_and_bounds_of_every_law_do_not_import_scipy():
+    # scipy is a test-only dependency; the Weibull gamma is a Cephes port
     script = (
         "import sys\n"
         "import codedlat.cli\n"
         "from codedlat import bounds, simulator\n"
-        "from codedlat.distributions import Exponential\n"
-        "simulator.run(simulator.ClusterConfig(0.5, simulator.KSplit(k=2, d=2),"
-        " Exponential(rate=2.0), L=50, warmup_jobs=100, measured_jobs=100))\n"
+        "from codedlat.distributions import Exponential, Pareto, chunk_dist, mgf\n"
+        "for service in (Exponential(rate=2.0), chunk_dist('weibull', 2, shape=1.5)):\n"
+        "    simulator.run(simulator.ClusterConfig(0.5, simulator.KSplit(k=2, d=2), service,"
+        " L=50, warmup_jobs=100, measured_jobs=100))\n"
         "bounds.mean_latency_bound('exponential', 4, 0.5)\n"
-        "print('scipy' in sys.modules)\n"
-    )
-    assert _run_fresh(script) == "False"
-
-
-def test_mgfs_without_closed_form_do_not_import_scipy_integrate():
-    # the Weibull and Pareto MGFs are a numpy trapezoid rule, not scipy quadrature
-    script = (
-        "import sys\n"
-        "from codedlat import bounds\n"
-        "from codedlat.distributions import Pareto, chunk_dist, mgf\n"
         "bounds.m_k_bound(chunk_dist('weibull', 4, shape=1.5), 4)\n"
+        "bounds.mean_latency_bound('weibull', 4, 0.5, shape=1.5)\n"
+        "bounds.zero_load_latency('weibull', 4, shape=1.5)\n"
         "mgf(Pareto(exponent=2.0, minimum=0.5), -1.0)\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "print('scipy' in sys.modules)\n"
     )
     assert _run_fresh(script) == "False"
 
@@ -104,3 +95,19 @@ def _unused_imports(path):
 def test_no_unused_imports():
     files = sorted((ROOT / "src" / "codedlat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+def test_package_never_imports_scipy():
+    # ast.walk reaches imports inside functions, so a lazy import on an untested path fails too
+    hits = []
+    for path in sorted((ROOT / "src" / "codedlat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            hits += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                     for name in names if name.partition(".")[0] == "scipy"]
+    assert hits == []
