@@ -52,24 +52,48 @@ def _run_fresh(script: str) -> str:
     return out.stdout.strip()
 
 
-def test_runs_and_bounds_of_every_law_do_not_import_scipy():
-    # scipy is a test-only dependency; the Weibull gamma is a Cephes port
+def test_exponential_runs_and_bounds_do_not_import_scipy():
+    # scipy is a test-only dependency; it makes up most of its importer's import time
     script = (
         "import sys\n"
         "import codedlat.cli\n"
         "from codedlat import bounds, simulator\n"
-        "from codedlat.distributions import Exponential, Pareto, chunk_dist, mgf\n"
-        "for service in (Exponential(rate=2.0), chunk_dist('weibull', 2, shape=1.5)):\n"
-        "    simulator.run(simulator.ClusterConfig(0.5, simulator.KSplit(k=2, d=2), service,"
-        " L=50, warmup_jobs=100, measured_jobs=100))\n"
+        "from codedlat.distributions import Exponential\n"
+        "simulator.run(simulator.ClusterConfig(0.5, simulator.KSplit(k=2, d=2),"
+        " Exponential(rate=2.0), L=50, warmup_jobs=100, measured_jobs=100))\n"
         "bounds.mean_latency_bound('exponential', 4, 0.5)\n"
-        "bounds.m_k_bound(chunk_dist('weibull', 4, shape=1.5), 4)\n"
-        "bounds.mean_latency_bound('weibull', 4, 0.5, shape=1.5)\n"
-        "bounds.zero_load_latency('weibull', 4, shape=1.5)\n"
-        "mgf(Pareto(exponent=2.0, minimum=0.5), -1.0)\n"
         "print('scipy' in sys.modules)\n"
     )
     assert _run_fresh(script) == "False"
+
+
+def test_weibull_runs_and_bounds_do_not_import_scipy():
+    # the Weibull gamma is a Cephes port, not scipy.special.gamma
+    script = (
+        "import sys\n"
+        "from codedlat import bounds, simulator\n"
+        "from codedlat.distributions import chunk_dist\n"
+        "simulator.run(simulator.ClusterConfig(0.5, simulator.KSplit(k=2, d=2),"
+        " chunk_dist('weibull', 2, shape=1.5), L=50, warmup_jobs=100, measured_jobs=100))\n"
+        "bounds.mean_latency_bound('weibull', 4, 0.5, shape=1.5)\n"
+        "bounds.zero_load_latency('weibull', 4, shape=1.5)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    assert _run_fresh(script) == "False"
+
+
+def test_mgfs_without_closed_form_do_not_import_scipy_integrate():
+    # the Weibull and Pareto MGFs are a numpy sum on log-space nodes, not scipy
+    # quadrature; no other scipy module loads either
+    script = (
+        "import sys\n"
+        "from codedlat import bounds\n"
+        "from codedlat.distributions import Pareto, chunk_dist, mgf\n"
+        "bounds.m_k_bound(chunk_dist('weibull', 4, shape=1.5), 4)\n"
+        "mgf(Pareto(exponent=2.0, minimum=0.5), -1.0)\n"
+        "print('scipy.integrate' in sys.modules, 'scipy' in sys.modules)\n"
+    )
+    assert _run_fresh(script) == "False False"
 
 
 def _unused_imports(path):
