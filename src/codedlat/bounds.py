@@ -103,19 +103,11 @@ def maximal_subexp_bound(n_draws: int, params: SubExpParams, mean: float) -> flo
     return max(math.sqrt(params.tau_sq) * math.sqrt(2.0 * ln_n), 2.0 * params.b * ln_n) + mean
 
 
-def residual_moment(dist: ServiceDistribution, order: int = 1) -> float:
-    """n-th moment of the stationary residual service time.
-
-    E[R^n] = E[X^(n+1)] / ((n+1) E[X]); the n = 1 case is the familiar
-    E[X^2] / (2 E[X]).
-    """
-    if order < 1 or order != int(order):
-        raise ValueError(f"residual moment order must be a positive integer, got {order}")
-    n = int(order)
-    return dists.moment(dist, n + 1) / ((n + 1) * dists.moment(dist, 1))
+def residual_moment(dist: ServiceDistribution) -> float:
+    """Mean of the stationary residual service time, E[X^2] / (2 E[X])."""
+    return dists.moment(dist, 2) / (2 * dists.moment(dist, 1))
 
 
-_GOLDEN_TOL = 1e-6
 _COARSE_POINTS = 128
 
 
@@ -160,7 +152,7 @@ def m_k_bound(dist: ServiceDistribution, k: int) -> float:
     i = int(np.argmin(vals))
     lo = grid[i - 1] if i > 0 else grid[0] / 64.0
     hi = grid[i + 1] if i < len(grid) - 1 else grid[-1]
-    _s_star, best = golden_section_min(objective, float(lo), float(hi), rel_tol=_GOLDEN_TOL)
+    _s_star, best = golden_section_min(objective, float(lo), float(hi))
     return min(best, vals[i])
 
 
@@ -466,9 +458,7 @@ def bound_II(lam: float, d: float, k: int) -> BoundReport:
     def envelope(z: float) -> float:
         return z + 0.5 * (mu - z + math.sqrt((mu - z) ** 2 + var))
 
-    z_star, inner = golden_section_min(
-        envelope, -float(dist.q_max), float(dist.q_max), rel_tol=_GOLDEN_TOL
-    )
+    z_star, inner = golden_section_min(envelope, -float(dist.q_max), float(dist.q_max))
     return BoundReport(
         value=h + k * inner,
         branch="BoundII",

@@ -3,24 +3,24 @@
 import math
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# steps that shrink the bracket to 1e-6 of its initial width
+_STEPS = math.ceil(math.log(1e-6) / math.log(_INV_PHI))
 
 
-def golden_section_min(f, lo: float, hi: float, rel_tol: float = 1e-6):
+def golden_section_min(f, lo: float, hi: float):
     """Minimize a unimodal ``f`` on ``[lo, hi]``; returns ``(x, f(x))``.
 
-    The bracket shrinks by the inverse golden ratio each step, so the
-    iteration count is fixed up front from ``rel_tol`` (relative to the
-    initial bracket width).  Minima on the bracket edge are fine: the
-    search simply converges to that edge.
+    The bracket shrinks by the inverse golden ratio each step, a fixed
+    ``_STEPS`` times, to 1e-6 of its initial width.  Minima on the
+    bracket edge are fine: the search simply converges to that edge.
     """
     if not hi > lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
-    steps = max(1, math.ceil(math.log(rel_tol) / math.log(_INV_PHI)))
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(steps):
+    for _ in range(_STEPS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

@@ -37,9 +37,10 @@ the CLI's sweep flags alike.  Recognized keys: ``experiment``,
 ``dist.shape``, ``dist.shift``, ``sim.L``, ``sim.seed``,
 ``sim.warmup_jobs``, ``sim.measured_jobs``, ``out.path``.  ``code.*``
 accept comma-separated aligned lists (scalars broadcast); ``dist.*``
-default to exponential, shape 1, shift 0 and ``sim.seed`` to 0; omitted
-``sim.*`` keys fall back to the simulator defaults
-(L = max(2000, 200 * splits), warmup = 20 * L).
+default to exponential, shape 1, shift 0 and ``sim.seed`` to 0.  Omitted
+``sim.*`` keys take L = max(2000, 200 * k) and warmup = 20 * L jobs, and
+measure 20,000 jobs per arm for gain-sweep and 1,000,000 // k jobs for
+bound-check, tail-check and batch-sampling (residual-check: above).
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ __all__ = [
     "SweepSpec",
     "build_spec",
     "config_entries",
-    "load_config",
-    "preset",
     "preset_entries",
     "run_sweep",
     "write_csv",
@@ -81,10 +80,15 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Raised for malformed sweep configuration; the CLI maps it to exit 2."""
+    """Malformed sweep configuration (exit 2 in the CLI); ``keys`` are the keys its check read."""
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
 _KINDS = ("gain-sweep", "bound-check", "tail-check", "batch-sampling", "residual-check")
+_CODE = ("code.n", "code.k", "code.d")
 
 # tail-check budget: probability that any chunk queue exceeds the
 # truncation level.  Fixed rather than configurable; the CSV records
@@ -100,7 +104,7 @@ class SweepSpec:
     ``codes`` holds (n, k, d) triples.  For the queue-based kinds the
     fanout satisfies n = d * k; for batch-sampling only (n, k) with
     k < n < 2k matters and d is ignored.  ``L``, ``warmup_jobs`` and
-    ``measured_jobs`` of ``None`` defer to the simulator defaults.
+    ``measured_jobs`` of ``None`` take the defaults in the module docstring.
     """
 
     experiment: str
@@ -118,62 +122,70 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.experiment not in _KINDS:
             raise ConfigError(
-                f"unknown experiment '{self.experiment}' (expected one of {', '.join(_KINDS)})"
+                f"unknown experiment '{self.experiment}' (expected one of {', '.join(_KINDS)})",
+                ("experiment",),
             )
         if not self.lam_grid:
-            raise ConfigError("lambda grid empty")
+            raise ConfigError("lambda grid empty", ("lambda.grid",))
         for lam in self.lam_grid:
             if not 0.0 < lam < 1.0:
-                raise ConfigError(f"lambda.grid value {lam} outside (0, 1)")
+                raise ConfigError(f"lambda.grid value {lam} outside (0, 1)", ("lambda.grid",))
         if not self.codes:
-            raise ConfigError("code grid empty (set code.n / code.k)")
+            raise ConfigError("code grid empty (set code.n / code.k)", _CODE)
         try:
             fam = dists.canonical_family(self.family)
         except ValueError as exc:
-            raise ConfigError(f"dist.family: {exc}") from None
+            raise ConfigError(f"dist.family: {exc}", ("dist.family",)) from None
         object.__setattr__(self, "family", fam)
         for n, k, d in self.codes:
             self._check_code(n, k, d)
         if self.experiment in ("tail-check", "batch-sampling") and fam != "exponential":
-            raise ConfigError(f"dist.family '{fam}' unsupported for {self.experiment}")
+            raise ConfigError(f"dist.family '{fam}' unsupported for {self.experiment}",
+                              ("experiment", "dist.family"))
         if self.experiment == "tail-check" and min(self.lam_grid) <= _TAIL_EPSILON:
-            raise ConfigError(f"tail-check needs every lambda above the tail budget {_TAIL_EPSILON}")
+            raise ConfigError(f"tail-check needs every lambda above the tail budget {_TAIL_EPSILON}",
+                              ("experiment", "lambda.grid"))
         try:  # the service laws, and the envelopes and moments the bounds use, exist up front
             for k in sorted({k for _, k, _ in self.codes}):
                 full, chunk = dists.service_pair(fam, max(k, 1), shift=self.shift, shape=self.shape)
                 if self.experiment in ("gain-sweep", "bound-check") and fam != "exponential":
                     dists.subexp_params(chunk)
                 if self.experiment == "residual-check":
-                    bounds.residual_moment(full, 1)
+                    bounds.residual_moment(full)
         except ValueError as exc:
-            raise ConfigError(f"dist: {exc}") from None
+            raise ConfigError(f"dist: {exc}",
+                              ("dist.family", "dist.shape", "dist.shift", "code.k")) from None
         if self.L is not None and self.L < 1:
-            raise ConfigError(f"sim.L must be positive, got {self.L}")
+            raise ConfigError(f"sim.L must be positive, got {self.L}", ("sim.L",))
         if self.measured_jobs is not None and self.measured_jobs < 1:
-            raise ConfigError(f"sim.measured_jobs must be positive, got {self.measured_jobs}")
+            raise ConfigError(f"sim.measured_jobs must be positive, got {self.measured_jobs}",
+                              ("sim.measured_jobs",))
         if self.warmup_jobs is not None and self.warmup_jobs < 0:
-            raise ConfigError(f"sim.warmup_jobs must be nonnegative, got {self.warmup_jobs}")
+            raise ConfigError(f"sim.warmup_jobs must be nonnegative, got {self.warmup_jobs}",
+                              ("sim.warmup_jobs",))
 
     def _check_code(self, n: int, k: int, d: int) -> None:
         kind = self.experiment
         if kind == "residual-check":
             return
         if self.L is not None and self.L < n:
-            raise ConfigError(f"code ({n},{k},{d}): sim.L = {self.L} servers cannot host fanout {n}")
+            raise ConfigError(f"code ({n},{k},{d}): sim.L = {self.L} servers cannot host fanout {n}",
+                              ("sim.L", *_CODE))
         if kind == "batch-sampling":
             if not k < n < 2 * k:
-                raise ConfigError(f"code ({n},{k}): batch sampling needs k < n < 2k")
+                raise ConfigError(f"code ({n},{k}): batch sampling needs k < n < 2k", _CODE)
             for lam in self.lam_grid:
                 if abs(lam * n / k - 1.0) < 1e-12:
-                    raise ConfigError(f"code ({n},{k}): batch bounds are singular at lambda = k/n")
+                    raise ConfigError(f"code ({n},{k}): batch bounds are singular at lambda = k/n",
+                                      ("lambda.grid", *_CODE))
             return
         if d < 2:
-            raise ConfigError(f"code ({n},{k},{d}): replication degree d must be >= 2")
+            raise ConfigError(f"code ({n},{k},{d}): replication degree d must be >= 2", _CODE)
         if n != d * k:
-            raise ConfigError(f"code ({n},{k},{d}): fanout n must equal d*k")
+            raise ConfigError(f"code ({n},{k},{d}): fanout n must equal d*k", _CODE)
         if k < 2:
             # a one-chunk "split" degenerates and the bounds reject it
-            raise ConfigError(f"code ({n},{k},{d}): {kind} needs a split count k >= 2")
+            raise ConfigError(f"code ({n},{k},{d}): {kind} needs a split count k >= 2", _CODE)
 
 
 @dataclass(frozen=True)
@@ -236,12 +248,12 @@ def _parse(key: str, where: str, raw: str, kind: type):
 def build_spec(entries: Iterable[tuple[str, str, str]]) -> SweepSpec:
     """Build a validated SweepSpec from (key, where, raw text) entries.
 
-    The one builder behind config files, presets and CLI flags:
+    The one builder behind config files, presets and CLI flags.
     ``where`` names the entry's source ("line N", "preset NAME" or
-    "--flag") in parse errors, and each key may be set once across all
-    entries, so a flag that repeats a file's or a preset's key is a
-    duplicate like a repeated line.  Omitted keys take the defaults
-    listed in the module docstring.
+    "--flag") in errors; a range error names every entry that set a key
+    its check read.  Each key may be set once across all entries, so a
+    flag that repeats a file's or a preset's key is a duplicate like a
+    repeated line.  Omitted keys take the module docstring's defaults.
     """
     seen: dict[str, tuple[str, str]] = {}
     for key, where, raw in entries:
@@ -261,20 +273,24 @@ def build_spec(entries: Iterable[tuple[str, str, str]]) -> SweepSpec:
     experiment = scalar("experiment", str, None)
     if experiment is None:
         raise ConfigError("missing key 'experiment'")
-    return SweepSpec(
-        experiment=experiment,
-        lam_grid=tuple(values("lambda.grid", float)),
-        codes=_align_codes(experiment, values("code.n", int), values("code.k", int),
-                           values("code.d", int)),
-        family=scalar("dist.family", str, "exponential"),
-        shape=scalar("dist.shape", float, 1.0),
-        shift=scalar("dist.shift", float, 0.0),
-        L=scalar("sim.L", int, None),
-        seed=scalar("sim.seed", int, 0),
-        warmup_jobs=scalar("sim.warmup_jobs", int, None),
-        measured_jobs=scalar("sim.measured_jobs", int, None),
-        out_path=scalar("out.path", str, None),
-    )
+    try:
+        return SweepSpec(
+            experiment=experiment,
+            lam_grid=tuple(values("lambda.grid", float)),
+            codes=_align_codes(experiment, values("code.n", int), values("code.k", int),
+                               values("code.d", int)),
+            family=scalar("dist.family", str, "exponential"),
+            shape=scalar("dist.shape", float, 1.0),
+            shift=scalar("dist.shift", float, 0.0),
+            L=scalar("sim.L", int, None),
+            seed=scalar("sim.seed", int, 0),
+            warmup_jobs=scalar("sim.warmup_jobs", int, None),
+            measured_jobs=scalar("sim.measured_jobs", int, None),
+            out_path=scalar("out.path", str, None),
+        )
+    except ConfigError as exc:
+        where = ", ".join(dict.fromkeys(seen[key][0] for key in exc.keys if key in seen))
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 def config_entries(path: str | os.PathLike) -> list[tuple[str, str, str]]:
@@ -296,11 +312,6 @@ def config_entries(path: str | os.PathLike) -> list[tuple[str, str, str]]:
     return entries
 
 
-def load_config(path: str | os.PathLike) -> SweepSpec:
-    """Parse a flat key=value sweep config into a validated SweepSpec."""
-    return build_spec(config_entries(path))
-
-
 def _align_codes(
     experiment: str, ns: Sequence[int], ks: Sequence[int], ds: Sequence[int]
 ) -> tuple[tuple[int, int, int], ...]:
@@ -318,7 +329,8 @@ def _align_codes(
             return list(vals) * width
         if len(vals) != width:
             raise ConfigError(
-                f"key '{name}' has {len(vals)} entries, expected {width} to match the other code lists"
+                f"key '{name}' has {len(vals)} entries, expected {width} to match the other code lists",
+                (name,),
             )
         return list(vals)
 
@@ -328,7 +340,7 @@ def _align_codes(
     codes = []
     for n, k, d in zip(ns_b, ks_b, ds_b):
         if k < 1:
-            raise ConfigError(f"code.k must be positive, got {k}")
+            raise ConfigError(f"code.k must be positive, got {k}", ("code.k",))
         if d is None and n is not None and n % k == 0 and n // k >= 2:
             d = n // k
         if d is None:
@@ -451,7 +463,7 @@ def _residual_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stat
     warmup = 20_000 if spec.warmup_jobs is None else spec.warmup_jobs
     sim = empirical_residual(service, lam, seed=seed,
                              jobs=warmup + (spec.measured_jobs or 180_000), warmup=warmup)
-    theory = bounds.residual_moment(service, 1)
+    theory = bounds.residual_moment(service)
     passed = abs(sim - theory) <= 0.02 * theory
     return [ComparisonRow(
         spec.experiment, spec.family, spec.shape, spec.shift,
@@ -573,8 +585,3 @@ def preset_entries(name: str) -> list[tuple[str, str, str]]:
             f"unknown preset '{name}' (expected one of {', '.join(sorted(PRESETS))})"
         ) from None
     return [(key, f"preset {name}", raw) for key, raw in entries.items()]
-
-
-def preset(name: str) -> SweepSpec:
-    """The spec of a named preset, at seed 0."""
-    return build_spec(preset_entries(name))

@@ -30,41 +30,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DoubleExpTailModel:
-    """Tail P(Q >= r) <= c_u * per_queue_load^(d^r) for r >= 1."""
+    """Tail P(Q >= r) <= per_queue_load^(d^r) for r >= 1."""
 
     d: float
     per_queue_load: float
-    c_u: float = 1.0
 
     def __post_init__(self):
         if not self.d > 1.0:
             raise ValueError(f"choice count d must exceed 1, got {self.d}")
         if not 0.0 < self.per_queue_load < 1.0:
             raise ValueError(f"per-queue load must lie in (0, 1), got {self.per_queue_load}")
-        if not self.c_u > 0.0:
-            raise ValueError(f"tail constant must be positive, got {self.c_u}")
 
 
 def double_exp_ccdf(model: DoubleExpTailModel, r: float) -> float:
-    """Clamped tail value min(1, c_u * load^(d^r)).
+    """Tail value load^(d^r), at most 1 for r >= 0 since load < 1.
 
-    The raw formula is only meaningful for r >= 1; at r = 0 it returns
-    the clamped formula value (load, for c_u = 1) rather than the
-    trivial 1, and callers that need a genuine CCDF treat r = 0
-    specially.  Underflow to exactly 0 for huge r is fine.
+    The formula is only meaningful for r >= 1; at r = 0 it returns the
+    load rather than the trivial 1, and callers that need a genuine
+    CCDF treat r = 0 specially.  Underflow to exactly 0 for huge r is
+    fine.
     """
     if r < 0:
         raise ValueError(f"queue level must be nonnegative, got {r}")
-    exponent = model.d**r * math.log(model.per_queue_load)
-    return min(1.0, model.c_u * math.exp(exponent))
+    return math.exp(model.d**r * math.log(model.per_queue_load))
 
 
 def double_exp_mean(model: DoubleExpTailModel) -> float:
     """E[Q] = sum over r >= 1 of P(Q >= r), P(Q >= r) = ``double_exp_ccdf``.
 
-    The mean of the queue length whose CCDF is the clamped tail for
-    every integer r >= 1 (and 1 at r = 0), the tightest valid law under
-    the model.  The terms fall doubly exponentially, so the sum stops at
+    The mean of the queue length whose CCDF is that tail for every
+    integer r >= 1 (and 1 at r = 0), the tightest valid law under the
+    model.  The terms fall doubly exponentially, so the sum stops at
     the first one that no longer changes it.
     """
     total, r = 0.0, 1
@@ -80,8 +76,6 @@ def double_exp_mean(model: DoubleExpTailModel) -> float:
 class BatchSamplingDist:
     """Stationary queue pmf under batch probing, truncated at q_max."""
 
-    lam: float
-    probe_ratio: float
     q_max: int
     pmf: np.ndarray  # index i = P(Q = i), i in 0..q_max; do not mutate
 
@@ -118,7 +112,7 @@ def batch_sampling_pmf(lam: float, d: float) -> BatchSamplingDist:
     if residual < -1e-9:
         raise ValueError(f"negative residual mass {residual} for lam={lam}, d={d}")
     pmf[q_max] = max(residual, 0.0)
-    return BatchSamplingDist(lam=lam, probe_ratio=d, q_max=q_max, pmf=pmf)
+    return BatchSamplingDist(q_max=q_max, pmf=pmf)
 
 
 def _as_pmf(pmf) -> np.ndarray:

@@ -166,7 +166,7 @@ def test_acceptance_05_least_k_dominates_ksplit():
 def gain_sweep_rows():
     rows = {}
     for name in ("fig3a", "fig3b", "fig4"):
-        rows[name] = harness.run_sweep(harness.preset(name))
+        rows[name] = harness.run_sweep(harness.build_spec(harness.preset_entries(name)))
     return rows
 
 

@@ -35,7 +35,7 @@ out.path = rows.csv
 
 
 def test_load_config_full(tmp_path):
-    spec = harness.load_config(write(tmp_path, FULL_CONFIG))
+    spec = harness.build_spec(harness.config_entries(write(tmp_path, FULL_CONFIG)))
     assert spec.experiment == "gain-sweep"
     assert spec.lam_grid == (0.2, 0.5)
     # code.d omitted: inferred from n / k
@@ -47,9 +47,9 @@ def test_load_config_full(tmp_path):
 
 
 def test_minimal_config_defers_to_simulator_defaults(tmp_path):
-    spec = harness.load_config(write(
+    spec = harness.build_spec(harness.config_entries(write(
         tmp_path, "experiment = bound-check\nlambda.grid = 0.9\ncode.k = 4\ncode.d = 2\n"
-    ))
+    )))
     assert spec.L is None and spec.warmup_jobs is None and spec.measured_jobs is None
     config = ClusterConfig(
         lam=0.9, policy=KSplit(k=4, d=2), service=Exponential(rate=4.0),
@@ -88,7 +88,7 @@ def test_minimal_config_defers_to_simulator_defaults(tmp_path):
 )
 def test_config_errors(tmp_path, text, needle):
     with pytest.raises(harness.ConfigError) as err:
-        harness.load_config(write(tmp_path, text))
+        harness.build_spec(harness.config_entries(write(tmp_path, text)))
     assert needle in str(err.value)
 
 
@@ -201,19 +201,19 @@ def test_presets_cover_the_advertised_grid():
         "fig4": ("weibull", 0.0, 1.5),
     }
     for name in gain_names:
-        spec = harness.preset(name)
+        spec = harness.build_spec(harness.preset_entries(name))
         assert spec.experiment == "gain-sweep"
         assert spec.codes == expected_codes
         assert spec.lam_grid == expected_grid
         family, shift, shape = families[name]
         assert (spec.family, spec.shift, spec.shape) == (family, shift, shape)
-    fig5 = harness.preset("fig5")
+    fig5 = harness.build_spec(harness.preset_entries("fig5"))
     assert fig5.experiment == "batch-sampling"
     assert fig5.codes == ((14, 10, 1),)
     assert fig5.lam_grid == (0.8, 0.85, 0.9)
     assert fig5.L == 2000
     with pytest.raises(harness.ConfigError):
-        harness.preset("fig9")
+        harness.build_spec(harness.preset_entries("fig9"))
 
 
 @pytest.mark.parametrize("name", sorted(harness.PRESETS))
@@ -221,7 +221,8 @@ def test_preset_is_the_config_file_of_its_entries(tmp_path, name):
     # a preset leaves exactly the seed and the output path to its user
     assert set(harness.PRESETS[name]) == set(harness._CONFIG_KEYS) - {"sim.seed", "out.path"}
     text = "".join(f"{key} = {raw}\n" for key, _, raw in harness.preset_entries(name))
-    assert harness.load_config(write(tmp_path, text)) == harness.preset(name)
+    entries = harness.config_entries(write(tmp_path, text))
+    assert harness.build_spec(entries) == harness.build_spec(harness.preset_entries(name))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +376,36 @@ def test_cli_preset_seed_zero_overrides_preset_seed(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_cli_seed_joins_a_preset(seed):
     spec = sweep_spec(["--preset", "fig5", "--seed", str(seed)])
-    assert spec == replace(harness.preset("fig5"), seed=seed)
+    assert spec == replace(harness.build_spec(harness.preset_entries("fig5")), seed=seed)
 
 
 def test_cli_flag_repeating_a_preset_key_names_both_places(capsys):
     assert cli.main(["sweep", "--preset", "fig5", "--L", "5"]) == 2
     err = capsys.readouterr().err
     assert "config error: --L: duplicate key 'sim.L' (first set on preset fig5)" in err
+
+
+@pytest.mark.parametrize("source,argv,message", [
+    ("experiment = gain-sweep\nlambda.grid = 1.5\ncode.k = 2\n", [],
+     "line 2: lambda.grid value 1.5 outside (0, 1)"),
+    (None, ["--experiment", "bound-check", "--lambda", "0.5", "--k", "4", "--d", "3", "--L", "5"],
+     "--L, --k, --d: code (12,4,3): sim.L = 5 servers cannot host fanout 12"),
+    ("experiment = bound-check\nlambda.grid = 0.5\ncode.k = 4\n", ["--d", "3", "--L", "5"],
+     "--L, line 3, --d: code (12,4,3): sim.L = 5 servers cannot host fanout 12"),
+    ("fig5", ["--L", "5"],
+     "--L, preset fig5: code (14,10,1): sim.L = 5 servers cannot host fanout 14"),
+    (None, ["--experiment", "gain-sweep", "--lambda", "0.5", "--n", "4, 6", "--k", "2, 3, 4"],
+     "--n: key 'code.n' has 2 entries, expected 3 to match the other code lists"),
+], ids=["line", "flags", "line-and-flags", "preset-and-flag", "code-list"])
+def test_cli_range_errors_name_their_entries(tmp_path, monkeypatch, capsys, source, argv, message):
+    if source in harness.PRESETS:  # a preset without sim.L, so that --L joins it
+        entries = {key: raw for key, raw in harness.PRESETS[source].items() if key != "sim.L"}
+        monkeypatch.setitem(harness.PRESETS, source, entries)
+        argv = ["--preset", source, *argv]
+    elif source is not None:
+        argv = ["--config", write(tmp_path, source), *argv]
+    assert cli.main(["sweep", *argv]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
 
 
 def test_cli_preset_and_config_are_exclusive(tmp_path, capsys):
@@ -489,7 +513,7 @@ def test_config_file_and_its_flags_build_the_same_spec(name):
     path = os.path.join(CONFIG_DIR, name)
     flag_of = {key: flag for flag, key, _ in cli._SPEC_FLAGS}
     argv = [arg for key, _, raw in harness.config_entries(path) for arg in (flag_of[key], raw)]
-    assert sweep_spec(argv) == harness.load_config(path)
+    assert sweep_spec(argv) == harness.build_spec(harness.config_entries(path))
 
 
 def test_cli_flags_fill_keys_the_config_lacks(tmp_path):

@@ -121,6 +121,25 @@ def test_no_unused_imports():
     assert [hit for path in files for hit in _unused_imports(path)] == []
 
 
+def test_every_private_module_name_is_read():
+    # a module-level _name (def, class or constant) that no module of the package reads is dead
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "codedlat").glob("*.py"))]
+    read = {node.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - read) == []
+
+
 def test_package_never_imports_scipy():
     # ast.walk reaches imports inside functions, so a lazy import on an untested path fails too
     hits = []

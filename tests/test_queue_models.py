@@ -21,8 +21,7 @@ def test_double_exp_ccdf_values():
     assert double_exp_ccdf(m, 1) == pytest.approx(0.81)
     assert double_exp_ccdf(m, 2) == pytest.approx(0.9**4)
     assert double_exp_ccdf(m, 3) == pytest.approx(0.9**8)
-    loose = DoubleExpTailModel(d=2.0, per_queue_load=0.9, c_u=2.0)
-    assert double_exp_ccdf(loose, 1) == 1.0  # clamp
+    assert double_exp_ccdf(m, 0) == pytest.approx(0.9)  # the load, not the trivial 1
     assert double_exp_ccdf(m, 40) == 0.0  # underflow is fine
 
 
@@ -32,11 +31,10 @@ def test_double_exp_ccdf_monotone():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def test_double_exp_mean_sums_the_clamped_tail():
-    for c_u in (1.0, 2.0):
-        m = DoubleExpTailModel(d=2.0, per_queue_load=0.9, c_u=c_u)
-        expect = sum(min(1.0, c_u * 0.9 ** (2**r)) for r in range(1, 60))
-        assert double_exp_mean(m) == pytest.approx(expect, rel=1e-14)
+def test_double_exp_mean_sums_the_tail():
+    m = DoubleExpTailModel(d=2.0, per_queue_load=0.9)
+    expect = sum(0.9 ** (2**r) for r in range(1, 60))
+    assert double_exp_mean(m) == pytest.approx(expect, rel=1e-14)
     # a load far below one leaves nothing queued
     assert double_exp_mean(DoubleExpTailModel(d=3.0, per_queue_load=1e-300)) == 0.0
 
@@ -119,7 +117,7 @@ def test_model_validation():
     with pytest.raises(ValueError):
         DoubleExpTailModel(d=1.0, per_queue_load=0.5)
     with pytest.raises(ValueError):
-        BatchSamplingDist(lam=0.5, probe_ratio=1.4, q_max=1, pmf=np.array([0.7, 0.7]))
+        BatchSamplingDist(q_max=1, pmf=np.array([0.7, 0.7]))
 
 
 @pytest.mark.parametrize("lam", [0.8, 0.85, 0.9])
