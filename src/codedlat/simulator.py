@@ -11,12 +11,14 @@ previous departure) + service, so it never materializes future events.
 A task's start depends only on earlier jobs, so a job's completion time
 is fixed when it is dispatched; under purging (``RedundantRequest``)
 each task leaves its server at the earlier of its own departure and
-that time.  ``run_many`` advances many non-purging runs (the points of
-a sweep) in lockstep as numpy lanes, counting each queue from a ring of
-its server's pending departures.  The event engine, the oracle for
-both, processes each completion from an explicit heap: a purged task
-leaves its queue at once, and every run checks that no task finishes
-before its service is done and that every job completes.
+that time.  It reads its streams ``_CHUNK`` jobs at a time.
+``run_many`` advances many non-purging runs (the points of a sweep) in
+lockstep as numpy lanes, counting each queue from a ring of its
+server's pending departures.  The event engine, the oracle for both,
+reads its streams job by job and processes each completion from an
+explicit heap: a purged task leaves its queue at once, and every run
+checks that no task finishes before its service is done and that every
+job completes.
 Every run consumes its own three RNG streams (arrivals, selection,
 service), each drawn in whole blocks (selection candidates as blocks of
 server rows), which is what makes the outputs interchangeable.
@@ -274,6 +276,7 @@ class GainResult:
 # shared randomness plumbing
 
 _BLOCK = 8192
+_CHUNK = 64  # jobs whose draws are gathered, and whose outputs are summed, at once
 
 
 def _blocks(draw, rng):
@@ -287,8 +290,8 @@ class _Stream:
 
     Each generator only ever sees whole-block calls, made in order, so
     the values a stream yields depend on neither how many are taken at
-    a time nor when: the engines and the lockstep lanes read the same
-    numbers however they slice them.  Blocks may be rows (candidates).
+    a time nor when: the event engine's ``take1`` per job and the chunked
+    ``take`` of the others read the same numbers.  Blocks may be rows (candidates).
     """
 
     __slots__ = ("_blocks", "_buf", "_pos")
@@ -344,38 +347,34 @@ def _draw_distinct(rng, n_servers: int, m: int):
         yield from block.tolist()
 
 
-def _make_selector(policy: Policy, n_servers: int, rng):
-    """Bind the policy to a closure: qlen callback -> (chosen, probed qlens).
-
-    Ties on queue length resolve to the earliest candidate in draw
-    order; the draw itself is uniform, so tie-breaking is deterministic
-    without favoring low server indices.  Both engines consume the same
-    blocks of candidate rows from one ``_draw_distinct`` per run.
+def _choose(cand: list, q: list, group: int, picks: int) -> list:
+    """The servers sent a task: in each run of ``group`` candidates, the ``picks``
+    with the shortest probed queues ``q``, ties to the earliest drawn.  The draw
+    is uniform, so tie-breaking is deterministic without favoring any server.
     """
+    if group == 1:
+        return cand
+    if picks > 1:  # one group; the stable sort keeps draw order
+        return [cand[i] for i in sorted(range(len(q)), key=q.__getitem__)[:picks]]
+    chosen = []
+    for base in range(0, len(q), group):
+        best = base
+        for i in range(base + 1, base + group):
+            if q[i] < q[best]:
+                best = i
+        chosen.append(cand[best])
+    return chosen
+
+
+def _make_selector(policy: Policy, n_servers: int, rng):
+    """Bind the policy to a closure: qlen callback -> (chosen, probed qlens)."""
     fanout, group, picks, *_ = _shape(policy)
     rows = _draw_distinct(rng, n_servers, fanout)
-    if picks > 1:  # the least loaded picks of one group
-        def select(qlen):
-            cand = next(rows)
-            q = [qlen(s) for s in cand]
-            order = sorted(range(fanout), key=q.__getitem__)  # stable sort keeps draw order
-            return [cand[i] for i in order[:picks]], q
 
-        return select
-
-    def select(qlen):  # the least loaded of each group
+    def select(qlen):
         cand = next(rows)
         q = [qlen(s) for s in cand]
-        if group == 1:
-            return cand, q
-        chosen = []
-        for base in range(0, fanout, group):
-            best = base
-            for i in range(base + 1, base + group):
-                if q[i] < q[best]:
-                    best = i
-            chosen.append(cand[best])
-        return chosen, q
+        return _choose(cand, q, group, picks), q
 
     return select
 
@@ -394,52 +393,64 @@ def _streams(seed: int, rate: float, service: ServiceDistribution):
 # ---------------------------------------------------------------------------
 # fast engine: FCFS departures computed directly, no event queue
 
-def _by_length(tally: Counter) -> np.ndarray:
-    """Probe counts indexed by queue length, up to the longest probed."""
-    counts = np.zeros(max(tally) + 1, dtype=np.int64)
-    counts[list(tally)] = list(tally.values())
-    return counts
+def _epochs(arrivals: _Stream, total: int):
+    """(first job, arrival epochs) of ``total`` jobs, ``_CHUNK`` at a time, each
+    summed in order from the last one before (``np.add.accumulate`` is sequential),
+    so every epoch is the same float as ``t += gap`` job by job."""
+    t = np.zeros(_CHUNK + 1)
+    for j0 in range(0, total, _CHUNK):
+        J = min(_CHUNK, total - j0)
+        t[0] = t[_CHUNK]
+        t[1 : J + 1] = arrivals.take(J)
+        yield j0, np.add.accumulate(t[: J + 1], out=t[: J + 1])[1:].tolist()
 
 
 def _run_fast(config: ClusterConfig):
     L = config.L
     warmup, measured = config.warmup_jobs, config.measured_jobs
     arrivals, sel_rng, service = _streams(config.seed, config.job_rate, config.service)
-    select = _make_selector(config.policy, L, sel_rng)
     shape = _shape(config.policy)
+    fanout, group, picks = shape.fanout, shape.group, shape.picks
     n_tasks, last_needed = shape.tasks, shape.needed - 1
+    rows = _Stream(_candidate_blocks(sel_rng, L, fanout))
 
     pending = [deque() for _ in range(L)]  # times the tasks at a server leave, ascending
     lat = np.empty(measured)
-    tally = Counter()
-    t = 0.0
-
-    def qlen(s):
-        dq = pending[s]
-        while dq and dq[0] <= t:
-            dq.popleft()
-        return len(dq)
-
-    for j in range(warmup + measured):
-        t += arrivals.take1()
-        chosen, probed = select(qlen)
-        dep = service.take(n_tasks).tolist()
-        for i in range(n_tasks):
-            # the chosen servers were just probed, so a server is busy until its last leave time
-            dq = pending[chosen[i]]
-            dep[i] += dq[-1] if dq else t
-            dq.append(dep[i])
-        # the job is done at its needed-th departure; a task still there then is purged
-        done = sorted(dep)[last_needed]
-        for i in range(n_tasks):
-            if dep[i] > done:
+    counts = np.zeros(1, dtype=np.int64)  # probes by queue length seen
+    for j0, epochs in _epochs(arrivals, warmup + measured):
+        J = len(epochs)
+        probed, dones = [], []
+        for t, cand, dep in zip(epochs, rows.take(J).tolist(),
+                                service.take(J * n_tasks).reshape(J, n_tasks).tolist()):
+            q = []
+            for s in cand:
+                dq = pending[s]
+                while dq and dq[0] <= t:
+                    dq.popleft()
+                q.append(len(dq))
+            probed += q
+            chosen = _choose(cand, q, group, picks)
+            for i in range(n_tasks):
+                # the chosen servers were just probed, so a server is busy until its last leave time
                 dq = pending[chosen[i]]
-                dq.pop()
-                insort(dq, done)
-        if j >= warmup:
-            lat[j - warmup] = done - t
-            tally.update(probed)
-    return lat, _by_length(tally)
+                dep[i] += dq[-1] if dq else t
+                dq.append(dep[i])
+            # the job is done at its needed-th departure; a task still there then is purged
+            done = sorted(dep)[last_needed]
+            if done < max(dep):
+                for i in range(n_tasks):
+                    if dep[i] > done:
+                        dq = pending[chosen[i]]
+                        dq.pop()
+                        insort(dq, done)
+            dones.append(done)
+        first = max(warmup - j0, 0)
+        if first < J:
+            np.subtract(dones[first:], epochs[first:], out=lat[j0 + first - warmup : j0 + J - warmup])
+            tally = np.bincount(probed[first * fanout :], minlength=counts.size)
+            tally[: counts.size] += counts
+            counts = tally
+    return lat, counts
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +458,6 @@ def _run_fast(config: ClusterConfig):
 
 _LOCKSTEP_MIN_LANES = 6  # smaller groups run faster one by one
 _RING = 8  # initial slots per server for pending departures; doubled on demand
-_CHUNK = 64  # jobs whose draws are gathered, and whose outputs are summed, at once
 
 
 def _grow(ring: np.ndarray, wp: np.ndarray) -> np.ndarray:
@@ -567,6 +577,13 @@ class _Job:
         self.idx = idx
         self.remaining = remaining
         self.tasks = ()
+
+
+def _by_length(tally: Counter) -> np.ndarray:
+    """Probe counts indexed by queue length, up to the longest probed."""
+    counts = np.zeros(max(tally) + 1, dtype=np.int64)
+    counts[list(tally)] = list(tally.values())
+    return counts
 
 
 def _run_event(config: ClusterConfig):
@@ -781,18 +798,16 @@ def empirical_residual(
     arrivals, _, svc = _streams(seed, arrival_rate, service)
 
     pending = deque()
-    t = 0.0
     acc = 0.0
     busy = 0
-    for j in range(jobs):
-        t += arrivals.take1()
-        while pending and pending[0] <= t:
-            pending.popleft()
-        if j >= warmup and pending:
-            acc += pending[0] - t
-            busy += 1
-        start = pending[-1] if pending else t
-        pending.append(start + svc.take1())
+    for j0, epochs in _epochs(arrivals, jobs):
+        for j, t, x in zip(range(j0, jobs), epochs, svc.take(len(epochs)).tolist()):
+            while pending and pending[0] <= t:
+                pending.popleft()
+            if j >= warmup and pending:
+                acc += pending[0] - t
+                busy += 1
+            pending.append((pending[-1] if pending else t) + x)
     if busy == 0:
         raise RuntimeError("no busy arrivals observed; increase jobs or the arrival rate")
     return acc / busy

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,12 @@ from codedlat.simulator import (
 )
 
 
+# (warmup, measured) jobs at the scalar engine's chunk edges: one job; warmup ending
+# on a chunk's last job; warmup ending on the next chunk's first job, then whole chunks
+_CHUNK_EDGES = [(0, 1), (simulator._CHUNK - 1, 2),
+                (simulator._CHUNK + 1, 3 * simulator._CHUNK - 1)]
+
+
 def _config(policy, service, lam=0.5, **kw):
     kw.setdefault("L", 200)
     kw.setdefault("warmup_jobs", 2_000)
@@ -43,9 +50,13 @@ def _config(policy, service, lam=0.5, **kw):
     ],
 )
 def test_fast_and_event_engines_agree_exactly(policy, service):
-    fast = run(_config(policy, service, engine="fast"))
-    event = run(_config(policy, service, engine="event"))
-    assert fast == event
+    for warmup, measured in [(2_000, 15_000), *_CHUNK_EDGES]:
+        config = _config(policy, service, warmup_jobs=warmup, measured_jobs=measured,
+                         keep_samples=True)
+        fast = run(config)
+        event = run(replace(config, engine="event"))
+        assert fast == event, (warmup, measured)
+        assert np.array_equal(fast.samples, event.samples)
 
 
 class _CountingRng:
@@ -265,14 +276,65 @@ def test_purging_fast_engine_equals_event_oracle():
     ] + [
         (RedundantRequest(k=2, extra=2), Constant(value=0.5), lam)  # ties between siblings
         for lam in (0.3, 0.8)
+    ] + [
+        # no choice and no purge: M/M/1 queues at load 0.9 pass length 16, so the
+        # fast engine's tally of probed lengths grows across chunks
+        (LeastKOfN(n=4, k=4), Exponential(rate=4.0), 0.9)
     ]
     for i, (policy, service, lam) in enumerate(cases):
-        config = _config(policy, service, lam=lam, L=40, seed=i, warmup_jobs=500,
-                         measured_jobs=2_000, keep_samples=True)
-        fast = run(config)
-        event = run(replace(config, engine="event"))
-        assert fast == event, (policy, service, lam)
-        assert np.array_equal(fast.samples, event.samples)
+        for warmup, measured in [(500, 2_000), *_CHUNK_EDGES]:
+            config = _config(policy, service, lam=lam, L=40, seed=i, warmup_jobs=warmup,
+                             measured_jobs=measured, keep_samples=True)
+            fast = run(config)
+            event = run(replace(config, engine="event"))
+            assert fast == event, (policy, service, lam, warmup, measured)
+            assert np.array_equal(fast.samples, event.samples)
+    assert fast.queue_ccdf[-1][0] >= 16  # the deep case's last run, 65 + 191 jobs
+
+
+def _residual_job_by_job(service, rate, seed, jobs, warmup):
+    """``empirical_residual`` summed one arrival gap and one service at a time."""
+    arrivals, _, svc = simulator._streams(seed, rate, service)
+    pending, t, acc, busy = deque(), 0.0, 0.0, 0
+    for j in range(jobs):
+        t += arrivals.take1()
+        while pending and pending[0] <= t:
+            pending.popleft()
+        if j >= warmup and pending:
+            acc += pending[0] - t
+            busy += 1
+        pending.append((pending[-1] if pending else t) + svc.take1())
+    return acc / busy
+
+
+def test_chunk_size_leaves_scalar_runs_and_residuals_unchanged(monkeypatch):
+    configs = [
+        _config(policy, service, lam=0.8, warmup_jobs=101, measured_jobs=250, keep_samples=True)
+        for policy, service in [
+            (KSplit(k=3, d=2), Exponential(rate=3.0)),
+            (LeastKOfN(n=6, k=3), Exponential(rate=3.0)),
+            (RedundantRequest(k=2, extra=2), Exponential(rate=2.0)),
+        ]
+    ]
+
+    def outputs():
+        stats = [run(c) for c in configs]
+        return stats, [s.samples for s in stats], empirical_residual(
+            Exponential(rate=2.0), 1.8, seed=4, jobs=1_001, warmup=100)
+
+    def take1(self):
+        raise AssertionError("a scalar run read a stream job by job")
+
+    reference = _residual_job_by_job(Exponential(rate=2.0), 1.8, seed=4, jobs=1_001, warmup=100)
+    monkeypatch.setattr(simulator._Stream, "take1", take1)
+    want, want_samples, want_residual = outputs()
+    assert want_residual == reference
+    for chunk in (1, 7):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        got, got_samples, got_residual = outputs()
+        assert got == want, chunk
+        assert all(np.array_equal(a, b) for a, b in zip(got_samples, want_samples))
+        assert got_residual == want_residual
 
 
 def test_run_many_runs_purging_configs_one_by_one(monkeypatch):
