@@ -186,6 +186,9 @@ def _cmd_bound(args) -> int:
     if (args.epsilon is None) != (args.t is None):
         raise harness.ConfigError("tail bound needs both --epsilon and --t")
     if args.epsilon is not None:
+        if dists.canonical_family(args.dist) != "exponential":
+            raise harness.ConfigError(f"--dist: the tail bound needs exponential service, "
+                                      f"got {args.dist!r}")
         report = bounds.tail_latency_bound(args.k, args.lam, args.epsilon, args.t)
         _print_report(report)
         print(f"P(latency > {args.t:g}) <= {report.value:.6g}")
@@ -255,6 +258,8 @@ def _cmd_figures(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", None) is not None and args.jobs < 1:
+            raise harness.ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "bound":

@@ -11,24 +11,24 @@ previous departure) + service, so it never materializes future events.
 A task's start depends only on earlier jobs, so a job's completion time
 is fixed when it is dispatched; under purging (``RedundantRequest``)
 each task leaves its server at the earlier of its own departure and
-that time.  It reads its streams ``_CHUNK`` jobs at a time.
-``run_many`` advances many non-purging runs (the points of a sweep) in
-lockstep as numpy lanes, counting each queue from a ring of its
-server's pending departures.  The event engine, the oracle for both,
-reads its streams job by job and processes each completion from an
-explicit heap: a purged task leaves its queue at once, and every run
-checks that no task finishes before its service is done and that every
-job completes.
+that time.  ``run_many`` advances many non-purging runs (the points of
+a sweep) in lockstep as numpy lanes, counting each queue from a ring of
+its server's pending departures.  The event engine, the oracle for
+both, processes each completion from an explicit heap: a purged task
+leaves its queue at once, and every run checks that no task finishes
+before its service is done and that every job completes.
 Every run consumes its own three RNG streams (arrivals, selection,
 service), each drawn in whole blocks (selection candidates as blocks of
-server rows), which is what makes the outputs interchangeable.
+server rows), and every engine reads them through one chunked reader,
+``_jobs``, ``_CHUNK`` jobs at a time, which is what makes the outputs
+interchangeable.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
@@ -290,8 +290,8 @@ class _Stream:
 
     Each generator only ever sees whole-block calls, made in order, so
     the values a stream yields depend on neither how many are taken at
-    a time nor when: the event engine's ``take1`` per job and the chunked
-    ``take`` of the others read the same numbers.  Blocks may be rows (candidates).
+    a time nor when: every engine reads the same numbers through
+    ``_jobs``, at any chunk size.  Blocks may be rows (candidates).
     """
 
     __slots__ = ("_blocks", "_buf", "_pos")
@@ -308,14 +308,6 @@ class _Stream:
         out = self._buf[self._pos : self._pos + m]
         self._pos += m
         return out
-
-    def take1(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = next(self._blocks)
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return float(v)
 
 
 def _candidate_blocks(rng, n_servers: int, m: int):
@@ -341,12 +333,6 @@ def _candidate_blocks(rng, n_servers: int, m: int):
         yield block
 
 
-def _draw_distinct(rng, n_servers: int, m: int):
-    """The rows of ``_candidate_blocks``, one list per job."""
-    for block in _candidate_blocks(rng, n_servers, m):
-        yield from block.tolist()
-
-
 def _choose(cand: list, q: list, group: int, picks: int) -> list:
     """The servers sent a task: in each run of ``group`` candidates, the ``picks``
     with the shortest probed queues ``q``, ties to the earliest drawn.  The draw
@@ -366,19 +352,6 @@ def _choose(cand: list, q: list, group: int, picks: int) -> list:
     return chosen
 
 
-def _make_selector(policy: Policy, n_servers: int, rng):
-    """Bind the policy to a closure: qlen callback -> (chosen, probed qlens)."""
-    fanout, group, picks, *_ = _shape(policy)
-    rows = _draw_distinct(rng, n_servers, fanout)
-
-    def select(qlen):
-        cand = next(rows)
-        q = [qlen(s) for s in cand]
-        return _choose(cand, q, group, picks), q
-
-    return select
-
-
 def _streams(seed: int, rate: float, service: ServiceDistribution):
     """(arrival gaps at ``rate``, selection generator, service draws) of one run."""
     arr_seed, sel_seed, svc_seed = np.random.SeedSequence(entropy=int(seed)).spawn(3)
@@ -390,38 +363,54 @@ def _streams(seed: int, rate: float, service: ServiceDistribution):
     return arrivals, np.random.default_rng(sel_seed), draws
 
 
-# ---------------------------------------------------------------------------
-# fast engine: FCFS departures computed directly, no event queue
-
 def _epochs(arrivals: _Stream, total: int):
     """(first job, arrival epochs) of ``total`` jobs, ``_CHUNK`` at a time, each
     summed in order from the last one before (``np.add.accumulate`` is sequential),
-    so every epoch is the same float as ``t += gap`` job by job."""
+    so every epoch is the same float as ``t += gap`` job by job.  The epochs are a
+    view that the next chunk overwrites."""
     t = np.zeros(_CHUNK + 1)
     for j0 in range(0, total, _CHUNK):
         J = min(_CHUNK, total - j0)
         t[0] = t[_CHUNK]
         t[1 : J + 1] = arrivals.take(J)
-        yield j0, np.add.accumulate(t[: J + 1], out=t[: J + 1])[1:].tolist()
+        yield j0, np.add.accumulate(t[: J + 1], out=t[: J + 1])[1:]
 
+
+def _jobs(config: ClusterConfig):
+    """(first job, arrival epochs, candidate rows, service rows) of a run's jobs,
+    ``_CHUNK`` at a time: the one reader of its streams for every engine.  The
+    epochs are ``_epochs``' view, so a consumer copies them before the next pull."""
+    arrivals, sel_rng, service = _streams(config.seed, config.job_rate, config.service)
+    shape = _shape(config.policy)
+    rows = _Stream(_candidate_blocks(sel_rng, config.L, shape.fanout))
+    for j0, epochs in _epochs(arrivals, config.warmup_jobs + config.measured_jobs):
+        J = len(epochs)
+        yield j0, epochs, rows.take(J), service.take(J * shape.tasks).reshape(J, shape.tasks)
+
+
+def _tally(counts: np.ndarray, probed: list) -> np.ndarray:
+    """``counts`` of probes by queue length seen, plus the lengths ``probed``."""
+    tally = np.bincount(probed, minlength=counts.size)
+    tally[: counts.size] += counts
+    return tally
+
+
+# ---------------------------------------------------------------------------
+# fast engine: FCFS departures computed directly, no event queue
 
 def _run_fast(config: ClusterConfig):
-    L = config.L
-    warmup, measured = config.warmup_jobs, config.measured_jobs
-    arrivals, sel_rng, service = _streams(config.seed, config.job_rate, config.service)
+    warmup = config.warmup_jobs
     shape = _shape(config.policy)
     fanout, group, picks = shape.fanout, shape.group, shape.picks
     n_tasks, last_needed = shape.tasks, shape.needed - 1
-    rows = _Stream(_candidate_blocks(sel_rng, L, fanout))
 
-    pending = [deque() for _ in range(L)]  # times the tasks at a server leave, ascending
-    lat = np.empty(measured)
+    pending = [deque() for _ in range(config.L)]  # times the tasks at a server leave, ascending
+    lat = np.empty(config.measured_jobs)
     counts = np.zeros(1, dtype=np.int64)  # probes by queue length seen
-    for j0, epochs in _epochs(arrivals, warmup + measured):
-        J = len(epochs)
+    for j0, epochs, rows, service in _jobs(config):
+        J, epochs = len(epochs), epochs.tolist()
         probed, dones = [], []
-        for t, cand, dep in zip(epochs, rows.take(J).tolist(),
-                                service.take(J * n_tasks).reshape(J, n_tasks).tolist()):
+        for t, cand, dep in zip(epochs, rows.tolist(), service.tolist()):
             q = []
             for s in cand:
                 dq = pending[s]
@@ -447,9 +436,7 @@ def _run_fast(config: ClusterConfig):
         first = max(warmup - j0, 0)
         if first < J:
             np.subtract(dones[first:], epochs[first:], out=lat[j0 + first - warmup : j0 + J - warmup])
-            tally = np.bincount(probed[first * fanout :], minlength=counts.size)
-            tally[: counts.size] += counts
-            counts = tally
+            counts = _tally(counts, probed[first * fanout :])
     return lat, counts
 
 
@@ -492,15 +479,11 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
     template = servers - R * W + np.arange(R * W).reshape(R, W)  # dummy servers
     gid = np.full((R, W), W)
     pick = np.empty((R, K), dtype=np.int64)
-    lanes = []
-    for r, (config, sh) in enumerate(zip(configs, shapes)):
+    for r, sh in enumerate(shapes):
         gid[r, : sh.fanout] = np.arange(sh.fanout) // sh.group
         starts = np.arange(0, sh.fanout, sh.group)[:, None]
         pick[r, : sh.tasks] = (starts + np.arange(sh.picks)).ravel()
         pick[r, sh.tasks :] = np.arange(W - K + sh.tasks, W)  # padding columns, sorted last
-        arrivals, sel_rng, service = _streams(config.seed, config.job_rate, config.service)
-        rows = _Stream(_candidate_blocks(sel_rng, config.L, sh.fanout))
-        lanes.append((arrivals, rows, service, sh, offsets[r]))
     pick = (np.arange(R)[:, None] * W + pick).ravel()
     row_base = np.repeat(np.arange(R) * W, K)
     real = gid < W
@@ -512,23 +495,20 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
     key_base = gid * (depth + 1)
     lat = np.empty((R, measured))
     counts = np.zeros((R, 1), dtype=np.int64)
-    total = warmup + measured
     # chunk buffers, reused: padding columns and padding services stay put
-    t, t_task = np.zeros((_CHUNK + 1, R)), np.empty((_CHUNK, R, K))
+    t, t_task = np.empty((_CHUNK, R)), np.empty((_CHUNK, R, K))
     cand = np.empty((_CHUNK, R, W), dtype=np.int64)
     cand[:] = template
     svc = np.zeros((_CHUNK, R, K))
     qs = np.empty((_CHUNK, R, W), dtype=np.int64)
     deps = np.empty((_CHUNK, R * K))
-    for j0 in range(0, total, _CHUNK):
-        J = min(_CHUNK, total - j0)
-        t[0] = t[_CHUNK]
-        for r, (arrivals, rows, service, sh, offset) in enumerate(lanes):
-            t[1 : J + 1, r] = arrivals.take(J)
-            cand[:J, r, : sh.fanout] = rows.take(J) + offset
-            svc[:J, r, : sh.tasks] = service.take(J * sh.tasks).reshape(J, sh.tasks)
-        np.add.accumulate(t[: J + 1], axis=0, out=t[: J + 1])  # sequential, as the engines add gaps
-        t_probe = t[1:, :, None]
+    for chunk in zip(*map(_jobs, configs)):
+        j0, J = chunk[0][0], len(chunk[0][1])
+        for r, (_, epochs, rows, service) in enumerate(chunk):
+            t[:J, r] = epochs
+            cand[:J, r, : shapes[r].fanout] = rows + offsets[r]
+            svc[:J, r, : shapes[r].tasks] = service
+        t_probe = t[:, :, None]
         t_task[:] = t_probe
         flat_task, flat_svc = t_task.reshape(_CHUNK, R * K), svc.reshape(_CHUNK, R * K)
         for j in range(J):
@@ -548,7 +528,7 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
         if first < J:
             done = j0 + first - warmup
             worst = deps[first:J].reshape(-1, R, K).max(-1)
-            lat[:, done : done + J - first] = (worst - t[first + 1 : J + 1]).T
+            lat[:, done : done + J - first] = (worst - t[first:J]).T
             counts = np.pad(counts, ((0, 0), (0, depth + 1 - counts.shape[1])))
             codes = qs[first:J, real] + lane_of_real * (depth + 1)
             counts += np.bincount(codes.ravel(), minlength=R * (depth + 1)).reshape(R, depth + 1)
@@ -579,13 +559,6 @@ class _Job:
         self.tasks = ()
 
 
-def _by_length(tally: Counter) -> np.ndarray:
-    """Probe counts indexed by queue length, up to the longest probed."""
-    counts = np.zeros(max(tally) + 1, dtype=np.int64)
-    counts[list(tally)] = list(tally.values())
-    return counts
-
-
 def _run_event(config: ClusterConfig):
     # Only completions live in the heap, ordered by (time, seq).  Each
     # arrival first processes every completion at or before its epoch,
@@ -594,9 +567,8 @@ def _run_event(config: ClusterConfig):
     L = config.L
     warmup, measured = config.warmup_jobs, config.measured_jobs
     total = warmup + measured
-    arrivals, sel_rng, service = _streams(config.seed, config.job_rate, config.service)
-    select = _make_selector(config.policy, L, sel_rng)
     shape = _shape(config.policy)
+    fanout, group, picks = shape.fanout, shape.group, shape.picks
     n_tasks, needed = shape.tasks, shape.needed
 
     queues = [deque() for _ in range(L)]  # tasks waiting behind the one in service
@@ -604,7 +576,7 @@ def _run_event(config: ClusterConfig):
     heap: list[tuple] = []
     seq = 0
     lat = np.empty(measured)
-    tally = Counter()
+    counts = np.zeros(1, dtype=np.int64)  # probes by queue length seen
     jobs_done = 0
 
     def start_next(s, now):
@@ -616,9 +588,6 @@ def _run_event(config: ClusterConfig):
             heappush(heap, (now + nxt.svc, seq, s, nxt))
         else:
             current[s] = None
-
-    def qlen(s):
-        return len(queues[s]) + (current[s] is not None)
 
     def complete(t, _, s, task):
         nonlocal jobs_done
@@ -643,28 +612,29 @@ def _run_event(config: ClusterConfig):
                     queues[sib.server].remove(sib)
             job.tasks = ()  # no job <-> task cycle: a finished job is freed without the GC
 
-    t = 0.0
-    for j in range(total):
-        t += arrivals.take1()
-        while heap and heap[0][0] <= t:
-            complete(*heappop(heap))
-        chosen, probed = select(qlen)
-        svc = service.take(n_tasks).tolist()
-        job = _Job(t, j, needed)
-        tasks = []
-        for i in range(n_tasks):
-            s = chosen[i]
-            task = _Task(job, svc[i], s)
-            tasks.append(task)
-            if current[s] is None:
-                current[s] = task
-                seq += 1
-                heappush(heap, (t + task.svc, seq, s, task))
-            else:
-                queues[s].append(task)
-        job.tasks = tasks
-        if j >= warmup:
-            tally.update(probed)
+    for j0, epochs, rows, service in _jobs(config):
+        probed = []
+        for j, t, cand, svc in zip(range(j0, total), epochs.tolist(), rows.tolist(),
+                                   service.tolist()):
+            while heap and heap[0][0] <= t:
+                complete(*heappop(heap))
+            q = [len(queues[s]) + (current[s] is not None) for s in cand]
+            probed += q
+            chosen = _choose(cand, q, group, picks)
+            job = _Job(t, j, needed)
+            tasks = []
+            for i in range(n_tasks):
+                s = chosen[i]
+                task = _Task(job, svc[i], s)
+                tasks.append(task)
+                if current[s] is None:
+                    current[s] = task
+                    seq += 1
+                    heappush(heap, (t + task.svc, seq, s, task))
+                else:
+                    queues[s].append(task)
+            job.tasks = tasks
+        counts = _tally(counts, probed[max(warmup - j0, 0) * fanout :])
     while heap:
         complete(*heappop(heap))
 
@@ -672,7 +642,7 @@ def _run_event(config: ClusterConfig):
         raise AssertionError("a server still busy after the drain")
     if jobs_done != total:
         raise RuntimeError(f"only {jobs_done} of {total} jobs completed")
-    return lat, _by_length(tally)
+    return lat, counts
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +771,7 @@ def empirical_residual(
     acc = 0.0
     busy = 0
     for j0, epochs in _epochs(arrivals, jobs):
-        for j, t, x in zip(range(j0, jobs), epochs, svc.take(len(epochs)).tolist()):
+        for j, t, x in zip(range(j0, jobs), epochs.tolist(), svc.take(len(epochs)).tolist()):
             while pending and pending[0] <= t:
                 pending.popleft()
             if j >= warmup and pending:

@@ -244,6 +244,10 @@ def test_cli_bound_tail_mode(capsys):
     out = capsys.readouterr().out
     assert "0.437266" in out
     assert "branch = Exp" in out
+    # the bound holds for exponential chunks only
+    assert cli.main(["bound", "--k", "4", "--lambda", "0.5", "--epsilon", "0.01", "--t", "1",
+                     "--dist", "weibull", "--shape", "0.5"]) == 2
+    assert "config error: --dist" in capsys.readouterr().err
 
 
 def test_cli_sweep_empty_lambda_grid_exits_2(tmp_path, capsys):
@@ -474,6 +478,8 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
         ["--experiment", "residual-check", "--lambda", "0.5", "--dist", "pareto", "--shape", "1.5"],
         ["--experiment", "residual-check", "--lambda", "0.5", "--measured-jobs", "2000",
          "--out", str(blocker / "out.csv")],
+        ["--experiment", "residual-check", "--lambda", "0.5", "--measured-jobs", "2000",
+         "--out", str(tmp_path / "out.csv"), "--jobs", "0"],
     ]
     assert cli.main(["simulate", "--policy", "naive", "--d", "1", "--lambda", "0.5"]) == 2
     for argv in sweeps:

@@ -122,13 +122,14 @@ def test_no_unused_imports():
 
 
 def test_every_private_module_name_is_read():
-    # a module-level _name (def, class or constant) that no module of the package reads is dead
+    # a module-level _name (def, class or constant) that no module of the package reads is
+    # dead, and so is a non-dunder method or property of a module-level _Class
     trees = [ast.parse(path.read_text(), str(path))
              for path in sorted((ROOT / "src" / "codedlat").glob("*.py"))]
     read = {node.id for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     read |= {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    defined = set()
+    defined, methods = set(), {}
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -136,8 +137,11 @@ def test_every_private_module_name_is_read():
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+            if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                methods.update({f"{node.name}.{f.name}": f.name for f in node.body
+                                if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")})
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
-    assert sorted(private - read) == []
+    assert sorted(private - read) + sorted(m for m, name in methods.items() if name not in read) == []
 
 
 def test_package_never_imports_scipy():

@@ -17,7 +17,7 @@ from codedlat.simulator import (
     LeastKOfN,
     NaiveReplication,
     RedundantRequest,
-    _draw_distinct,
+    _candidate_blocks,
     empirical_residual,
     gain_arms,
     gain_experiment,
@@ -81,11 +81,18 @@ _SAMPLER_CASES = [
 ]
 
 
+def _candidate_rows(rng, L, m, count):
+    """The first ``count`` rows of ``_candidate_blocks``, read block by block."""
+    blocks, rows = _candidate_blocks(rng, L, m), []
+    while sum(map(len, rows)) < count:
+        rows.append(next(blocks))
+    return np.concatenate(rows)[:count]
+
+
 @pytest.mark.parametrize("L,m,path", _SAMPLER_CASES)
 def test_candidate_rows_distinct_and_in_range(L, m, path):
     rng = _CountingRng(3)
-    rows = _draw_distinct(rng, L, m)
-    block = np.array([next(rows) for _ in range(3 * max(1, 8192 // m) + 7)])
+    block = _candidate_rows(rng, L, m, 3 * max(1, 8192 // m) + 7)
     assert rng.used == {path}
     assert block.shape[1] == m
     assert block.min() >= 0 and block.max() < L
@@ -95,8 +102,7 @@ def test_candidate_rows_distinct_and_in_range(L, m, path):
 
 @pytest.mark.parametrize("L,m", [(6, 5), (10, 4)])  # one case per path
 def test_candidate_rows_uniform_in_every_position(L, m):
-    rows = _draw_distinct(np.random.default_rng(11), L, m)
-    block = np.array([next(rows) for _ in range(30_000)])
+    block = _candidate_rows(np.random.default_rng(11), L, m, 30_000)
     for pos in range(m):
         assert chisquare(np.bincount(block[:, pos], minlength=L)).pvalue > 1e-4
     # ordered pairs of the first two positions: uniform over the L (L - 1) distinct pairs
@@ -297,13 +303,13 @@ def _residual_job_by_job(service, rate, seed, jobs, warmup):
     arrivals, _, svc = simulator._streams(seed, rate, service)
     pending, t, acc, busy = deque(), 0.0, 0.0, 0
     for j in range(jobs):
-        t += arrivals.take1()
+        t += float(arrivals.take(1)[0])
         while pending and pending[0] <= t:
             pending.popleft()
         if j >= warmup and pending:
             acc += pending[0] - t
             busy += 1
-        pending.append((pending[-1] if pending else t) + svc.take1())
+        pending.append((pending[-1] if pending else t) + float(svc.take(1)[0]))
     return acc / busy
 
 
@@ -316,17 +322,23 @@ def test_chunk_size_leaves_scalar_runs_and_residuals_unchanged(monkeypatch):
             (RedundantRequest(k=2, extra=2), Exponential(rate=2.0)),
         ]
     ]
+    events = [replace(c, engine="event") for c in configs]
+    lanes = [replace(c, warmup_jobs=101, measured_jobs=250) for c in _lanes()[::2]]
+    assert len(lanes) >= simulator._LOCKSTEP_MIN_LANES
+    laned = []
+    real_lanes = simulator._run_lanes
+
+    def run_lanes(group):
+        laned.append(len(group))
+        return real_lanes(group)
 
     def outputs():
-        stats = [run(c) for c in configs]
+        stats = [run(c) for c in configs + events] + run_many(lanes)
         return stats, [s.samples for s in stats], empirical_residual(
             Exponential(rate=2.0), 1.8, seed=4, jobs=1_001, warmup=100)
 
-    def take1(self):
-        raise AssertionError("a scalar run read a stream job by job")
-
+    monkeypatch.setattr(simulator, "_run_lanes", run_lanes)
     reference = _residual_job_by_job(Exponential(rate=2.0), 1.8, seed=4, jobs=1_001, warmup=100)
-    monkeypatch.setattr(simulator._Stream, "take1", take1)
     want, want_samples, want_residual = outputs()
     assert want_residual == reference
     for chunk in (1, 7):
@@ -335,6 +347,7 @@ def test_chunk_size_leaves_scalar_runs_and_residuals_unchanged(monkeypatch):
         assert got == want, chunk
         assert all(np.array_equal(a, b) for a, b in zip(got_samples, want_samples))
         assert got_residual == want_residual
+    assert laned == [len(lanes)] * 3
 
 
 def test_run_many_runs_purging_configs_one_by_one(monkeypatch):
