@@ -16,6 +16,7 @@ base-2 logs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,6 +112,7 @@ def residual_moment(dist: ServiceDistribution) -> float:
 _COARSE_POINTS = 128
 
 
+@functools.cache
 def m_k_bound(dist: ServiceDistribution, k: int) -> float:
     """Bound on the expected maximum of k stationary residuals.
 
@@ -118,7 +120,7 @@ def m_k_bound(dist: ServiceDistribution, k: int) -> float:
     of the service law (mean 1/k in the intended use).  A coarse grid
     brackets the minimum, golden-section search polishes it; the
     objective is unimodal on the MGF's finiteness interval for every
-    family handled here.
+    family handled here.  Cached: a pure function of a frozen law and k.
     """
     if k < 1 or k != int(k):
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -210,25 +212,19 @@ def mean_latency_bound_general(
     k: int,
     lam: float,
     params: SubExpParams,
+    m_k: float,
     *,
-    m_k: float | None = None,
-    dist: ServiceDistribution | None = None,
     strict: bool = True,
 ) -> BoundReport:
     """Mean latency bound for (tau_sq, b) sub-exponential chunks.
 
     Queue part: Phi1 = 2 b ln k + r/k + spill when 2 b^2 ln k >= tau^2 r,
     else Phi2 = tau sqrt(2 ln k) sqrt(r) + r/k + spill, with
-    r = lg(4 lg k) - lg lg(k/lam) - 1.  The residual part M(k) comes
-    from ``m_k`` or is computed from ``dist`` via ``m_k_bound``; the
-    reported value is their sum.
+    r = lg(4 lg k) - lg lg(k/lam) - 1.  The value adds the residual part
+    ``m_k`` = M(k), which is ``m_k_bound(chunk, k)`` for the chunk law.
     """
     r_exp, spill = _split_levels(k, lam, strict)
     r_gen = r_exp - 1.0
-    if m_k is None:
-        if dist is None:
-            raise ValueError("supply either a residual-max bound m_k or the chunk distribution")
-        m_k = m_k_bound(dist, k)
     ln_k = math.log(k)
     tau = math.sqrt(params.tau_sq)
     if 2.0 * params.b**2 * ln_k >= params.tau_sq * r_gen:
@@ -257,22 +253,20 @@ def mean_latency_bound(
     *,
     shift: float = 0.0,
     shape: float = 1.0,
-    m_k: float | None = None,
     strict: bool = True,
 ) -> BoundReport:
     """The mean latency bound that fits the service family, k-way split.
 
     Exponential chunks take ``mean_latency_bound_exp``; every other
     family takes ``mean_latency_bound_general`` with the chunk law's
-    sub-exponential envelope and residual-max term M(k) (``m_k``, or
-    computed from the chunk law).
+    sub-exponential envelope and residual-max term M(k) of the chunk law.
     """
     fam = canonical_family(family)
     if fam == "exponential":
         return mean_latency_bound_exp(k, lam, strict=strict)
     chunk = chunk_dist(fam, k, shift=shift, shape=shape)
     return mean_latency_bound_general(
-        k, lam, dists.subexp_params(chunk), m_k=m_k, dist=chunk, strict=strict)
+        k, lam, dists.subexp_params(chunk), m_k_bound(chunk, k), strict=strict)
 
 
 def tail_latency_bound(k: int, lam: float, epsilon: float, t: float) -> BoundReport:
@@ -489,7 +483,6 @@ def theoretical_gain(
     *,
     shift: float = 0.0,
     shape: float = 1.0,
-    m_k: float | None = None,
 ) -> GainBound:
     """Predicted latency gain of a k-way split over d-fold replication.
 
@@ -503,7 +496,6 @@ def theoretical_gain(
     while the assumed tail is fatter than the queue a d-choice job
     actually joins, the two effects offset and the difference tracks
     the simulated gain from below across the stable-load range.
-    ``m_k`` is passed on to the general mean bound.
     """
     if d < 2 or d != int(d):
         raise ValueError(f"replication factor d must be an integer >= 2, got {d}")
@@ -512,7 +504,7 @@ def theoretical_gain(
     queue = double_exp_mean(DoubleExpTailModel(d=float(d), per_queue_load=lam))
     replicated_proxy = dists.mean(full) * queue
 
-    report = mean_latency_bound(fam, k, lam, shift=shift, shape=shape, m_k=m_k, strict=False)
+    report = mean_latency_bound(fam, k, lam, shift=shift, shape=shape, strict=False)
     return GainBound(
         value=replicated_proxy - report.value,
         replicated_proxy=replicated_proxy,

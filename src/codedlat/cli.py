@@ -53,7 +53,7 @@ _SPEC_FLAGS = (
     ("--k", "code.k", "split count list"),
     ("--d", "code.d", "choices / replicas list"),
     ("--dist", "dist.family", "service family (exponential, shifted-exponential, weibull, pareto)"),
-    ("--shape", "dist.shape", "Weibull shape"),
+    ("--shape", "dist.shape", "Weibull shape or Pareto tail exponent"),
     ("--shift", "dist.shift", "additive shift"),
     ("--L", "sim.L", "server count"),
     ("--seed", "sim.seed", "base seed (default 0)"),
@@ -145,15 +145,20 @@ def _policy_from_args(args) -> object:
 
 
 def _service_from_args(args) -> dists.ServiceDistribution:
-    # whole-file service for replication/batch arms, chunk service otherwise
-    if args.policy in ("naive", "batch"):
-        return dists.service_pair(args.dist, 1, shift=args.shift, shape=args.shape)[0]
-    k = args.k if args.k is not None else 1
+    # whole-file service (k = 1) for replication/batch arms, chunk service otherwise
+    k = 1 if args.policy in ("naive", "batch") or args.k is None else args.k
     return dists.chunk_dist(args.dist, k, shift=args.shift, shape=args.shape)
+
+
+def _check_dist_flags(args) -> None:
+    unread = dists.unread_parameter(args.dist, args.shift, args.shape)
+    if unread:
+        raise harness.ConfigError(f"--{unread}: family {args.dist!r} does not read it")
 
 
 def _cmd_simulate(args) -> int:
     try:
+        _check_dist_flags(args)
         config = ClusterConfig(
             lam=args.lam,
             policy=_policy_from_args(args),
@@ -183,6 +188,7 @@ def _print_report(report: bounds.BoundReport) -> None:
 
 
 def _cmd_bound(args) -> int:
+    _check_dist_flags(args)
     if (args.epsilon is None) != (args.t is None):
         raise harness.ConfigError("tail bound needs both --epsilon and --t")
     if args.epsilon is not None:

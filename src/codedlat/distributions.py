@@ -337,6 +337,14 @@ def canonical_family(family: str) -> str:
         raise ValueError(f"unknown distribution family {family!r}") from None
 
 
+def unread_parameter(family: str, shift: float, shape: float) -> str | None:
+    """"shift" or "shape" when set off its default (0, 1) but ``family`` does not read it."""
+    fam = canonical_family(family)
+    if shift != 0.0 and fam != "shifted-exponential":
+        return "shift"
+    return "shape" if shape != 1.0 and fam not in ("weibull", "pareto") else None
+
+
 def chunk_dist(
     family: str, k: int, *, shift: float = 0.0, shape: float = 1.0
 ) -> ServiceDistribution:

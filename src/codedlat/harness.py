@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,7 +87,6 @@ class ConfigError(ValueError):
         self.keys = keys
 
 
-_KINDS = ("gain-sweep", "bound-check", "tail-check", "batch-sampling", "residual-check")
 _CODE = ("code.n", "code.k", "code.d")
 
 # tail-check budget: probability that any chunk queue exceeds the
@@ -120,9 +119,9 @@ class SweepSpec:
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in _KINDS:
+        if self.experiment not in _ROWS:
             raise ConfigError(
-                f"unknown experiment '{self.experiment}' (expected one of {', '.join(_KINDS)})",
+                f"unknown experiment '{self.experiment}' (expected one of {', '.join(_ROWS)})",
                 ("experiment",),
             )
         if not self.lam_grid:
@@ -137,6 +136,10 @@ class SweepSpec:
         except ValueError as exc:
             raise ConfigError(f"dist.family: {exc}", ("dist.family",)) from None
         object.__setattr__(self, "family", fam)
+        unread = dists.unread_parameter(fam, self.shift, self.shape)
+        if unread:
+            raise ConfigError(f"dist.{unread} has no effect on family '{fam}'",
+                              ("dist.family", f"dist.{unread}"))
         for n, k, d in self.codes:
             self._check_code(n, k, d)
         if self.experiment in ("tail-check", "batch-sampling") and fam != "exponential":
@@ -155,6 +158,8 @@ class SweepSpec:
         except ValueError as exc:
             raise ConfigError(f"dist: {exc}",
                               ("dist.family", "dist.shape", "dist.shift", "code.k")) from None
+        if self.seed < 0:
+            raise ConfigError(f"sim.seed must be nonnegative, got {self.seed}", ("sim.seed",))
         if self.L is not None and self.L < 1:
             raise ConfigError(f"sim.L must be positive, got {self.L}", ("sim.L",))
         if self.measured_jobs is not None and self.measured_jobs < 1:
@@ -222,10 +227,7 @@ class ComparisonRow:
                 self.n, self.k, self.d, self.lam, t, self.seed)
 
 
-CSV_COLUMNS = (
-    "experiment", "family", "shape", "shift", "n", "k", "d", "lam", "t",
-    "seed", "sim_mean", "sim_se", "theory", "branch", "passed", "aux_a", "aux_b",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +361,6 @@ def _point_seed(base: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _residual_max(spec: SweepSpec) -> dict[int, float]:
-    """M(k) of each split count, once per sweep: it depends only on the chunk law."""
-    if spec.family == "exponential" or spec.experiment not in ("gain-sweep", "bound-check"):
-        return {}
-    return {
-        k: bounds.m_k_bound(dists.chunk_dist(spec.family, k, shift=spec.shift, shape=spec.shape), k)
-        for k in sorted({k for _, k, _ in spec.codes})
-    }
-
-
 def _point_configs(spec: SweepSpec, code, lam: float, seed: int) -> tuple[ClusterConfig, ...]:
     """The simulations of one grid point: both arms of a gain point, one run otherwise."""
     n, k, d = code
@@ -389,11 +381,10 @@ def _point_configs(spec: SweepSpec, code, lam: float, seed: int) -> tuple[Cluste
                           keep_samples=kind == "tail-check", **common),)
 
 
-def _gain_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None, stats) -> list[ComparisonRow]:
+def _gain_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
     n, k, d = code
     sim = GainResult.of(*stats)
-    theory = bounds.theoretical_gain(d, k, lam, spec.family, shift=spec.shift, shape=spec.shape,
-                                     m_k=m_k)
+    theory = bounds.theoretical_gain(d, k, lam, spec.family, shift=spec.shift, shape=spec.shape)
     passed = sim.gain > 0.0 and sim.gain >= theory.value - 3.0 * sim.std_err
     return [ComparisonRow(
         spec.experiment, spec.family, spec.shape, spec.shift,
@@ -403,23 +394,21 @@ def _gain_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None, 
     )]
 
 
-def _bound_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: float | None, stats) -> list[ComparisonRow]:
+def _bound_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
     n, k, d = code
     (stats,) = stats
     report = bounds.mean_latency_bound(spec.family, k, lam, shift=spec.shift, shape=spec.shape,
-                                       m_k=m_k, strict=False)
+                                       strict=False)
     passed = stats.mean <= report.value + 3.0 * stats.std_err
-    aux_a = report.auxiliary.get("residual_max")
-    aux_b = report.auxiliary.get("phi")
     return [ComparisonRow(
         spec.experiment, spec.family, spec.shape, spec.shift,
         n, k, float(d), lam, None, seed,
         stats.mean, stats.std_err, report.value, report.branch, passed,
-        aux_a=aux_a, aux_b=aux_b,
+        aux_a=report.auxiliary.get("residual_max"), aux_b=report.auxiliary.get("phi"),
     )]
 
 
-def _tail_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stats) -> list[ComparisonRow]:
+def _tail_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
     n, k, d = code
     samples = stats[0].samples
     assert samples is not None
@@ -438,7 +427,7 @@ def _tail_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stats) -
     return rows
 
 
-def _batch_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stats) -> list[ComparisonRow]:
+def _batch_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
     n, k, _ = code
     (stats,) = stats
     ratio = n / k
@@ -457,7 +446,7 @@ def _batch_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stats) 
     )]
 
 
-def _residual_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stats) -> list[ComparisonRow]:
+def _residual_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
     n, k, d = code
     service = dists.service_pair(spec.family, max(k, 1), shift=spec.shift, shape=spec.shape)[0]
     warmup = 20_000 if spec.warmup_jobs is None else spec.warmup_jobs
@@ -472,7 +461,7 @@ def _residual_rows(spec: SweepSpec, code, lam: float, seed: int, m_k: None, stat
     )]
 
 
-# a point's rows from the statistics of its simulations
+# the experiment kinds, each with the builder of a point's rows from its simulations' statistics
 _ROWS = {
     "gain-sweep": _gain_rows,
     "bound-check": _bound_rows,
@@ -488,11 +477,10 @@ _SHARE_JOBS = 1 << 20
 
 def _share_rows(args: tuple) -> list[ComparisonRow]:
     """Simulate the points of one share together as lockstep lanes, then build their rows."""
-    spec, points, configs, residual_max = args
+    spec, points, configs = args
     stats = iter(run_many([config for point in configs for config in point]))
     return [row for (code, lam, seed), point in zip(points, configs)
-            for row in _ROWS[spec.experiment](spec, code, lam, seed, residual_max.get(code[1]),
-                                              [next(stats) for _ in point])]
+            for row in _ROWS[spec.experiment](spec, code, lam, seed, [next(stats) for _ in point])]
 
 
 def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> list[ComparisonRow]:
@@ -506,13 +494,12 @@ def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> list[Comparison
     per worker process; each point owns a seed derived from
     (spec.seed, point index), so the result is identical to the serial run.
     """
-    residual_max = _residual_max(spec)
     grid = [(code, lam) for code in spec.codes for lam in spec.lam_grid]
     points = [(code, lam, _point_seed(spec.seed, i)) for i, (code, lam) in enumerate(grid)]
     configs = [_point_configs(spec, *point) for point in points]
     jobs = max(sum(config.measured_jobs for config in point) for point in configs)
     size = max(1, min(-(-len(points) // max(1, workers or 1)), _SHARE_JOBS // max(1, jobs)))
-    shares = [(spec, points[i : i + size], configs[i : i + size], residual_max)
+    shares = [(spec, points[i : i + size], configs[i : i + size])
               for i in range(0, len(points), size)]
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

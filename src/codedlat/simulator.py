@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
@@ -212,6 +212,8 @@ class ClusterConfig:
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"per-server intensity must lie in (0, 1), got {self.lam}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.engine not in ("fast", "event"):
             raise ValueError(f"engine must be 'fast' or 'event', got {self.engine!r}")
         shape = _shape(self.policy)
@@ -728,11 +730,9 @@ def gain_arms(
     ``LeastKOfN(d*k, k)``.
     """
     full, chunk = dists.service_pair(family, k, shift=shift, shape=shape, unit_mean=unit_mean)
-    if L is None:
-        L = max(2000, 200 * k)
-    common = dict(L=L, seed=seed, warmup_jobs=warmup_jobs, measured_jobs=measured_jobs)
-    return (ClusterConfig(lam, NaiveReplication(d), full, **common),
-            ClusterConfig(lam, LeastKOfN(d * k, k), chunk, **common))
+    split = ClusterConfig(lam, LeastKOfN(d * k, k), chunk, L=L, seed=seed,
+                          warmup_jobs=warmup_jobs, measured_jobs=measured_jobs)
+    return replace(split, policy=NaiveReplication(d), service=full), split
 
 
 def gain_experiment(k: int, d: int, lam: float, family: str = "exponential", seed: int = 0,

@@ -126,7 +126,8 @@ def test_acceptance_04_general_bound_dominates():
     ok, worst = True, (math.inf, "")
     for (family, k, lam), stats in zip(cells, runs):
         chunk = laws[family, k]
-        bound = bounds.mean_latency_bound_general(k, lam, params[family, k], dist=chunk).value
+        bound = bounds.mean_latency_bound_general(
+            k, lam, params[family, k], bounds.m_k_bound(chunk, k)).value
         margin = bound + 3 * stats.std_err - stats.mean
         worst = min(worst, (margin, f"{family} k={k} lam={lam}"))
         ok = ok and margin >= 0.0

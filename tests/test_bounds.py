@@ -102,7 +102,7 @@ def test_mean_bound_exp_strict_region():
 def test_mean_bound_general_reference_point():
     chunk = Exponential(rate=8.0)
     report = bounds.mean_latency_bound_general(
-        8, 0.9, SubExpParams(tau_sq=1.0 / 64.0, b=1.0 / 8.0), dist=chunk
+        8, 0.9, SubExpParams(tau_sq=1.0 / 64.0, b=1.0 / 8.0), bounds.m_k_bound(chunk, 8)
     )
     assert report.branch == "Phi1"
     assert report.auxiliary["phi"] == pytest.approx(0.636075335, abs=1e-9)
@@ -146,11 +146,6 @@ def test_mean_bound_general_constant_envelope_collapses():
     assert report.value == pytest.approx(expected, abs=1e-12)
 
 
-def test_mean_bound_general_needs_residual_source():
-    with pytest.raises(ValueError):
-        bounds.mean_latency_bound_general(4, 0.9, SubExpParams(0.1, 0.1))
-
-
 @pytest.mark.parametrize("family,shift,shape", [
     ("exponential", 0.0, 1.0), ("shifted-exponential", 0.1, 1.0), ("weibull", 0.0, 1.5),
 ])
@@ -160,10 +155,9 @@ def test_mean_latency_bound_picks_the_family_form(family, shift, shape):
         assert report == bounds.mean_latency_bound_exp(4, 0.9)
     else:
         chunk = chunk_dist(family, 4, shift=shift, shape=shape)
-        general = bounds.mean_latency_bound_general(4, 0.9, subexp_params(chunk), dist=chunk)
+        general = bounds.mean_latency_bound_general(
+            4, 0.9, subexp_params(chunk), bounds.m_k_bound(chunk, 4))
         assert report == general
-        assert bounds.mean_latency_bound(family, 4, 0.9, shift=shift, shape=shape, m_k=0.5) == \
-            bounds.mean_latency_bound_general(4, 0.9, subexp_params(chunk), m_k=0.5)
     with pytest.raises(ValueError, match="lam > 1/k"):
         bounds.mean_latency_bound(family, 4, 0.2, shift=shift, shape=shape)
     assert bounds.mean_latency_bound(family, 4, 0.2, shift=shift, shape=shape, strict=False).value > 0
@@ -172,7 +166,7 @@ def test_mean_latency_bound_picks_the_family_form(family, shift, shape):
 def test_mean_bound_general_negative_level_uses_linear_branch():
     chunk = ShiftedExponential(shift=0.05, rate=2.0 / 0.9)
     report = bounds.mean_latency_bound_general(
-        2, 0.1, SubExpParams(tau_sq=1.2025, b=0.45), dist=chunk, strict=False
+        2, 0.1, SubExpParams(tau_sq=1.2025, b=0.45), bounds.m_k_bound(chunk, 2), strict=False
     )
     assert report.branch == "Phi1"
     assert math.isfinite(report.value)
@@ -192,6 +186,7 @@ def test_m_k_weibull_evaluates_coarse_grid_once(monkeypatch):
     calls = []
     real_mgf = bounds.mgf
     monkeypatch.setattr(bounds, "mgf", lambda dist, s: calls.append(s) or real_mgf(dist, s))
+    bounds.m_k_bound.cache_clear()
     bounds.m_k_bound(chunk_dist("weibull", 4, shape=1.5), 4)
     assert len(calls) == 159
 
@@ -430,6 +425,7 @@ def test_theoretical_gain_low_load_is_conservative():
 def test_theoretical_gain_peak_memory():
     # closed forms and quadrature hold no sample arrays: this call peaks near 15 kB
     bounds.theoretical_gain(2, 4, 0.9, "weibull", shape=1.5)  # warm caches
+    bounds.m_k_bound.cache_clear()  # but trace the residual-max search itself
     tracemalloc.start()
     try:
         bounds.theoretical_gain(2, 4, 0.9, "weibull", shape=1.5)

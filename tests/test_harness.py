@@ -3,6 +3,7 @@ import math
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from codedlat import bounds, cli, harness, simulator
 from codedlat import distributions as dists
 from codedlat.distributions import Exponential
 from codedlat.simulator import ClusterConfig, KSplit
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write(tmp_path, text, name="sweep.config"):
@@ -329,31 +332,30 @@ def test_cli_compare_exit_0_when_all_rows_pass(tmp_path, capsys):
     assert cli.main(["compare", "--config", passing, "--out", out]) == 0
 
 
-def test_sweep_computes_residual_max_once_per_split_count(monkeypatch):
+def test_sweep_computes_residual_max_once_per_split_count():
     spec = harness.SweepSpec(
         "gain-sweep", (0.3, 0.6), ((4, 2, 2), (6, 2, 3), (6, 3, 2)), "weibull", shape=1.5,
         L=200, seed=4, warmup_jobs=300, measured_jobs=600,
     )
-    calls = []
-    real = harness.bounds.m_k_bound
-    monkeypatch.setattr(harness.bounds, "m_k_bound", lambda dist, k: calls.append(k) or real(dist, k))
-    shared = harness.render_csv(harness.run_sweep(spec))
-    assert sorted(calls) == [2, 3]
-    # the same rows, byte for byte, as when every point computes its own term
-    monkeypatch.setattr(harness, "_residual_max", lambda spec: {})
-    calls.clear()
-    assert harness.render_csv(harness.run_sweep(spec)) == shared
-    assert len(calls) == 6
+    bounds.m_k_bound.cache_clear()
+    cold = harness.render_csv(harness.run_sweep(spec))
+    info = bounds.m_k_bound.cache_info()
+    assert (info.misses, info.hits) == (2, 4)  # split counts 2 and 3, six points
+    # a warm cache gives the same rows, byte for byte, and evaluates nothing new
+    assert harness.render_csv(harness.run_sweep(spec)) == cold
+    assert bounds.m_k_bound.cache_info().misses == 2
 
 
-def test_bound_check_rows_unchanged_by_shared_residual_max(monkeypatch):
+def test_bound_check_rows_unchanged_by_shared_residual_max():
     spec = harness.SweepSpec(
         "bound-check", (0.6, 0.8), ((4, 2, 2),), "shifted-exponential", shift=0.1,
         L=200, seed=2, warmup_jobs=300, measured_jobs=600,
     )
-    shared = harness.render_csv(harness.run_sweep(spec))
-    monkeypatch.setattr(harness, "_residual_max", lambda spec: {})
-    assert harness.render_csv(harness.run_sweep(spec)) == shared
+    bounds.m_k_bound.cache_clear()
+    cold = harness.render_csv(harness.run_sweep(spec))
+    assert bounds.m_k_bound.cache_info().misses == 1
+    assert harness.render_csv(harness.run_sweep(spec)) == cold
+    assert bounds.m_k_bound.cache_info().misses == 1
 
 
 def test_cli_figures_exit_1_on_failed_row(tmp_path, capsys, monkeypatch):
@@ -400,7 +402,16 @@ def test_cli_flag_repeating_a_preset_key_names_both_places(capsys):
      "--L, preset fig5: code (14,10,1): sim.L = 5 servers cannot host fanout 14"),
     (None, ["--experiment", "gain-sweep", "--lambda", "0.5", "--n", "4, 6", "--k", "2, 3, 4"],
      "--n: key 'code.n' has 2 entries, expected 3 to match the other code lists"),
-], ids=["line", "flags", "line-and-flags", "preset-and-flag", "code-list"])
+    (None, ["--experiment", "bound-check", "--lambda", "0.5", "--k", "2", "--seed", "-1"],
+     "--seed: sim.seed must be nonnegative, got -1"),
+    (None, ["--experiment", "bound-check", "--lambda", "0.9", "--k", "4", "--d", "3",
+            "--dist", "exponential", "--shift", "0.3"],
+     "--dist, --shift: dist.shift has no effect on family 'exponential'"),
+    ("experiment = gain-sweep\nlambda.grid = 0.5\ncode.k = 2\ndist.family = shifted\n"
+     "dist.shift = 0.1\n", ["--shape", "1.5"],
+     "line 4, --shape: dist.shape has no effect on family 'shifted-exponential'"),
+], ids=["line", "flags", "line-and-flags", "preset-and-flag", "code-list", "seed", "shift",
+        "shape"])
 def test_cli_range_errors_name_their_entries(tmp_path, monkeypatch, capsys, source, argv, message):
     if source in harness.PRESETS:  # a preset without sim.L, so that --L joins it
         entries = {key: raw for key, raw in harness.PRESETS[source].items() if key != "sim.L"}
@@ -480,11 +491,51 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
          "--out", str(blocker / "out.csv")],
         ["--experiment", "residual-check", "--lambda", "0.5", "--measured-jobs", "2000",
          "--out", str(tmp_path / "out.csv"), "--jobs", "0"],
+        ["--experiment", "bound-check", "--lambda", "0.5", "--k", "2", "--seed", "-1",
+         "--L", "100", "--measured-jobs", "100", "--out", str(tmp_path / "out.csv")],
     ]
-    assert cli.main(["simulate", "--policy", "naive", "--d", "1", "--lambda", "0.5"]) == 2
+    simulates = [
+        ["--policy", "naive", "--d", "1", "--lambda", "0.5"],
+        ["--policy", "ksplit", "--k", "2", "--lambda", "0.5", "--L", "100",
+         "--measured-jobs", "100", "--seed", "-3"],
+    ]
+    for argv in simulates:
+        assert cli.main(["simulate", *argv]) == 2, argv
     for argv in sweeps:
         assert cli.main(["sweep", *argv]) == 2, argv
-    assert capsys.readouterr().err.count("config error") == 1 + len(sweeps)
+    assert capsys.readouterr().err.count("config error") == len(simulates) + len(sweeps)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--policy", "ksplit", "--k", "2", "--lambda", "0.9", "--L", "100",
+      "--dist", "weibull", "--shape", "1.5", "--shift", "0.2"],
+     "--shift: family 'weibull' does not read it"),
+    (["simulate", "--policy", "naive", "--lambda", "0.9", "--L", "100",
+      "--dist", "shifted-exponential", "--shift", "0.1", "--shape", "2"],
+     "--shape: family 'shifted-exponential' does not read it"),
+    (["bound", "--k", "4", "--lambda", "0.9", "--dist", "exponential", "--shape", "2"],
+     "--shape: family 'exponential' does not read it"),
+    (["bound", "--k", "4", "--lambda", "0.9", "--dist", "pareto", "--shape", "2.5", "--shift", "0.1"],
+     "--shift: family 'pareto' does not read it"),
+])
+def test_cli_rejects_dist_flags_the_family_does_not_read(capsys, argv, message):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
+@pytest.mark.parametrize("family,shift,shape", [
+    ("exponential", 0.0, 1.0), ("shifted-exponential", 0.3, 1.0), ("weibull", 0.0, 0.7),
+    ("pareto", 0.0, 2.5),
+])
+def test_dist_keys_the_family_reads_are_accepted(family, shift, shape):
+    spec = harness.SweepSpec("residual-check", (0.5,), ((1, 1, 1),), family, shape=shape,
+                             shift=shift)
+    assert (spec.shift, spec.shape) == (shift, shape)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_configs_build(path):
+    assert harness.build_spec(harness.config_entries(path)).experiment
 
 
 def test_cli_error_inside_a_simulation_is_not_a_config_error(monkeypatch):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import codedlat
-from codedlat import cli
+from codedlat import cli, harness
 
 MODULES = ["codedlat"] + [f"codedlat.{info.name}" for info in pkgutil.iter_modules(codedlat.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +42,11 @@ def test_readme_config_error_example(capsys, monkeypatch):
     assert cli.main(command.split()[1:]) == 2
     assert capsys.readouterr().err.strip() == expected
     assert expected == "config error: --L: duplicate key 'sim.L' (first set on line 11)"
+
+
+def test_readme_csv_schema_lists_the_columns():
+    section = README.read_text().split("## CSV schema", 1)[1]
+    assert re.search(r"```\n(.*?)\n```", section).group(1) == ",".join(harness.CSV_COLUMNS)
 
 
 def _run_fresh(script: str) -> str:
