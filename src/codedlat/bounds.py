@@ -309,38 +309,24 @@ def tail_latency_bound(k: int, lam: float, epsilon: float, t: float) -> BoundRep
 _MAX_ALTERNATING_K = 32
 
 
-def zero_load_latency(
-    family: str,
-    k: int,
-    *,
-    shift: float = 0.0,
-    shape: float = 1.0,
-    unit_mean: bool = True,
-) -> float:
-    """Expected slowest chunk of a k-way split hitting empty servers.
+def zero_load_latency(family: str, k: int, *, shift: float = 0.0, shape: float = 1.0) -> float:
+    """Expected slowest chunk of a k-way split of a unit-mean file hitting empty servers.
 
-    Exponential: H(k)/k.  Shifted exponential, unit-mean convention:
-    shift/k + H(k)(1-shift)/k; additive convention: shift/k + H(k)/k.
+    Exponential: H(k)/k.  Shifted exponential: shift/k + H(k)(1-shift)/k.
     Weibull and Pareto chunks: inclusion-exclusion over minima,
     E[max of k] = sum_{j=1..k} (-1)^(j+1) C(k, j) E[min of j], where the
     minimum of j draws stays in the family.  The alternating sum
     cancels, so those two families take k <= 32.
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"split count must be a positive integer, got {k}")
     fam = canonical_family(family)
+    chunk = chunk_dist(fam, k, shift=shift, shape=shape)  # checks k, shift and shape
     h = harmonic(k)
     if fam == "exponential":
         return h / k
     if fam == "shifted-exponential":
-        if unit_mean:
-            if not 0.0 <= shift < 1.0:
-                raise ValueError(f"unit-mean shift must lie in [0, 1), got {shift}")
-            return shift / k + h * (1.0 - shift) / k
-        return shift / k + h / k
+        return shift / k + h * (1.0 - shift) / k
     if k > _MAX_ALTERNATING_K:
         raise ValueError(f"{fam} zero-load latency needs k <= {_MAX_ALTERNATING_K}, got {k}")
-    _, chunk = dists.service_pair(fam, k, shift=shift, shape=shape, unit_mean=unit_mean)
     k = int(k)
     js = range(1, k + 1)
     # E[min of j]: the min of j draws of Weibull(m, b) is Weibull(m, b j^(-1/m)),
@@ -352,24 +338,15 @@ def zero_load_latency(
     return math.fsum((-1) ** (j + 1) * math.comb(k, j) * m for j, m in zip(js, mins))
 
 
-def zero_load_gain(
-    family: str,
-    k: int,
-    *,
-    shift: float = 0.0,
-    shape: float = 1.0,
-    unit_mean: bool = True,
-) -> float:
+def zero_load_gain(family: str, k: int, *, shift: float = 0.0, shape: float = 1.0) -> float:
     """Latency saved by a k-way split over one whole-file replica, empty system.
 
     The whole-file mean minus the zero-load split latency; 1 - H(k)/k
     for unit-mean exponential files, and exactly 0 at k = 1 for every
     family.
     """
-    full, _ = dists.service_pair(family, k, shift=shift, shape=shape, unit_mean=unit_mean)
-    return dists.mean(full) - zero_load_latency(
-        family, k, shift=shift, shape=shape, unit_mean=unit_mean
-    )
+    full = chunk_dist(family, 1, shift=shift, shape=shape)
+    return dists.mean(full) - zero_load_latency(family, k, shift=shift, shape=shape)
 
 
 def redundant_request_latency(k: int, extra: int) -> float:
@@ -500,7 +477,7 @@ def theoretical_gain(
     if d < 2 or d != int(d):
         raise ValueError(f"replication factor d must be an integer >= 2, got {d}")
     fam = canonical_family(family)
-    full, _ = dists.service_pair(fam, k, shift=shift, shape=shape)
+    full = chunk_dist(fam, 1, shift=shift, shape=shape)
     queue = double_exp_mean(DoubleExpTailModel(d=float(d), per_queue_load=lam))
     replicated_proxy = dists.mean(full) * queue
 

@@ -54,7 +54,7 @@ _SPEC_FLAGS = (
     ("--d", "code.d", "choices / replicas list"),
     ("--dist", "dist.family", "service family (exponential, shifted-exponential, weibull, pareto)"),
     ("--shape", "dist.shape", "Weibull shape or Pareto tail exponent"),
-    ("--shift", "dist.shift", "additive shift"),
+    ("--shift", "dist.shift", "shift of a unit-mean file, in [0, 1)"),
     ("--L", "sim.L", "server count"),
     ("--seed", "sim.seed", "base seed (default 0)"),
     ("--warmup-jobs", "sim.warmup_jobs", "warmup jobs per run"),

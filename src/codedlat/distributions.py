@@ -11,7 +11,10 @@ finite for s <= 0 only, takes the same rule.  A degenerate
 All families expose the same free-function surface: ``sample``,
 ``mean`` / ``moment``, ``mgf``, plus the helpers used by the bounds
 layer (``subexp_params``) and by the experiment builders
-(``chunk_dist``, ``service_pair``).
+(``chunk_dist``).  Files have unit mean: ``chunk_dist(family, 1)`` is
+the file law and ``chunk_dist(family, k)`` the law of its mean-1/k chunks.
+A file D + Exp(1) is the unit-mean file with shift D/(1+D), run at
+load lam (1+D), with every latency scaled by 1+D.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "mgf",
     "mgf_domain_sup",
     "chunk_dist",
-    "service_pair",
     "subexp_params",
 ]
 
@@ -241,16 +243,19 @@ def mgf_domain_sup(dist: ServiceDistribution) -> float:
     raise TypeError(f"not a service distribution: {dist!r}")
 
 
-def _log_space_integral(h, slopes, v: float) -> float:
+def _log_space_integral(h, slopes, v: float, strip: float = 1.0) -> float:
     """Integral over the line of exp(h), for h smooth and unimodal.
 
     Newton from ``v`` finds the peak as the root of an f, given
     ``slopes(v)`` = (f, f', h''); each caller picks f and v so that the
     iterates move monotonically.  The tails of exp(h) decay at least
     exponentially, so the trapezoid rule on equispaced nodes converges
-    exponentially (Trefethen & Weideman, SIAM Review 2014): 400 nodes
-    span a window whose sides start 9 widths (-h'')^(-1/2) out from the
-    peak and grow by half until h lies 40 below the peak.
+    exponentially (Trefethen & Weideman, SIAM Review 2014), at a rate
+    proportional to the width of the strip about the line in which exp(h)
+    still decays: 400 nodes serve the width pi/2 of exp(-e^v), and a strip
+    ``strip`` times as wide takes 400 / ``strip``.  The nodes span a window
+    whose sides start 9 widths (-h'')^(-1/2) out from the peak and grow by
+    half until h lies 40 below the peak.
     """
     for _ in range(100):
         f, slope, curvature = slopes(v)
@@ -263,7 +268,7 @@ def _log_space_integral(h, slopes, v: float) -> float:
         while h(v + side * reach) > top - 40.0:
             reach *= 1.5
         ends.append(v + side * reach)
-    nodes, step = np.linspace(*ends, 400, retstep=True)
+    nodes, step = np.linspace(*ends, math.ceil(400 / strip), retstep=True)
     try:
         return math.exp(top + math.log(step * float(np.exp(h(nodes) - top).sum())))
     except OverflowError:
@@ -301,7 +306,9 @@ def mgf(dist: ServiceDistribution, s: float) -> float:
             # h'(v) = 1 + q - e^v is concave and decreasing, and h'(0) <= 0
             return 1.0 + q - e, q / m - e, q / m - e
 
-        return _log_space_integral(lambda v: c * np.exp(v / m) - np.exp(v) + v, slopes, 0.0)
+        # below shape 1, c e^(v/m) with c < 0 narrows the strip to m pi/2
+        return _log_space_integral(lambda v: c * np.exp(v / m) - np.exp(v) + v, slopes, 0.0,
+                                   min(m, 1.0))
     if isinstance(dist, Pareto):
         a, c = dist.exponent, -s * dist.minimum
         # x = minimum (1 + e^w): M(s) is a times the integral of exp(h(w)), with
@@ -365,43 +372,14 @@ def chunk_dist(
             raise ValueError(f"shift must lie in [0, 1) for unit mean, got {shift}")
         return ShiftedExponential(shift=shift / k, rate=k / (1.0 - shift))
     if fam == "weibull":
+        if not shape > 0:
+            raise ValueError(f"Weibull shape must be positive, got {shape}")
         return Weibull(shape=shape, scale=1.0 / (k * _gamma(1.0 + 1.0 / shape)))
     if fam == "pareto":
         if shape <= 1.0:
             raise ValueError(f"Pareto tail exponent must exceed 1 for a finite mean, got {shape}")
         return Pareto(exponent=shape, minimum=(shape - 1.0) / (shape * k))
     raise AssertionError(fam)
-
-
-def service_pair(
-    family: str,
-    k: int,
-    *,
-    shift: float = 0.0,
-    shape: float = 1.0,
-    unit_mean: bool = True,
-) -> tuple[ServiceDistribution, ServiceDistribution]:
-    """(whole-file law, chunk law) with chunk mean = file mean / k.
-
-    With ``unit_mean`` the file law is normalized to mean one.  The
-    alternative keeps the exponential tail at unit rate and adds the
-    shift on top (file mean 1 + shift, chunk = shift/k + Exp(k)); it
-    exists for the shifted family only, where both conventions are in
-    circulation.
-    """
-    fam = canonical_family(family)
-    if unit_mean or fam == "exponential":
-        return chunk_dist(fam, 1, shift=shift, shape=shape), chunk_dist(
-            fam, k, shift=shift, shape=shape
-        )
-    if fam != "shifted-exponential":
-        raise ValueError(f"additive-shift convention is defined only for shifted family, not {fam}")
-    if shift < 0:
-        raise ValueError(f"shift must be nonnegative, got {shift}")
-    return (
-        ShiftedExponential(shift=shift, rate=1.0),
-        ShiftedExponential(shift=shift / k, rate=float(k)),
-    )
 
 
 # Multiplier calibrating the Weibull envelope off its Orlicz-type norm.

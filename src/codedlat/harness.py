@@ -149,12 +149,13 @@ class SweepSpec:
             raise ConfigError(f"tail-check needs every lambda above the tail budget {_TAIL_EPSILON}",
                               ("experiment", "lambda.grid"))
         try:  # the service laws, and the envelopes and moments the bounds use, exist up front
+            full = dists.chunk_dist(fam, 1, shift=self.shift, shape=self.shape)
+            if self.experiment == "residual-check":
+                bounds.residual_moment(full)
             for k in sorted({k for _, k, _ in self.codes}):
-                full, chunk = dists.service_pair(fam, max(k, 1), shift=self.shift, shape=self.shape)
+                chunk = dists.chunk_dist(fam, max(k, 1), shift=self.shift, shape=self.shape)
                 if self.experiment in ("gain-sweep", "bound-check") and fam != "exponential":
                     dists.subexp_params(chunk)
-                if self.experiment == "residual-check":
-                    bounds.residual_moment(full)
         except ValueError as exc:
             raise ConfigError(f"dist: {exc}",
                               ("dist.family", "dist.shape", "dist.shift", "code.k")) from None
@@ -448,7 +449,7 @@ def _batch_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[Com
 
 def _residual_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
     n, k, d = code
-    service = dists.service_pair(spec.family, max(k, 1), shift=spec.shift, shape=spec.shape)[0]
+    service = dists.chunk_dist(spec.family, 1, shift=spec.shift, shape=spec.shape)
     warmup = 20_000 if spec.warmup_jobs is None else spec.warmup_jobs
     sim = empirical_residual(service, lam, seed=seed,
                              jobs=warmup + (spec.measured_jobs or 180_000), warmup=warmup)

@@ -717,7 +717,6 @@ def gain_arms(
     *,
     shift: float = 0.0,
     shape: float = 1.0,
-    unit_mean: bool = True,
     L: int | None = None,
     warmup_jobs: int | None = None,
     measured_jobs: int = 20_000,
@@ -725,13 +724,14 @@ def gain_arms(
     """The (replicated, split) configs of a k-way split against d-choice dispatch.
 
     Both arms run on the same seed (shared arrival epochs) and the same
-    cluster size; the replicated arm serves whole files via
+    cluster size; the replicated arm serves unit-mean whole files via
     ``NaiveReplication(d)``, the split arm serves mean-1/k chunks via
     ``LeastKOfN(d*k, k)``.
     """
-    full, chunk = dists.service_pair(family, k, shift=shift, shape=shape, unit_mean=unit_mean)
+    chunk = dists.chunk_dist(family, k, shift=shift, shape=shape)
     split = ClusterConfig(lam, LeastKOfN(d * k, k), chunk, L=L, seed=seed,
                           warmup_jobs=warmup_jobs, measured_jobs=measured_jobs)
+    full = dists.chunk_dist(family, 1, shift=shift, shape=shape)
     return replace(split, policy=NaiveReplication(d), service=full), split
 
 

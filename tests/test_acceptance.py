@@ -73,21 +73,24 @@ def test_acceptance_01_zero_load_closed_form():
 
 def test_acceptance_02_zero_load_gain_examples():
     g_exp = bounds.zero_load_gain("exponential", 2)
-    g_shift = bounds.zero_load_gain("shifted-exponential", 2, shift=0.2, unit_mean=False)
+    # the file 0.2 + Exp(1) is the unit-mean file with shift 0.2/1.2, at load 1.2x,
+    # in time units of 1.2
+    g_shift = 1.2 * bounds.zero_load_gain("shifted-exponential", 2, shift=0.2 / 1.2)
     exact_ok = abs(g_exp - 0.25) < 1e-12 and abs(g_shift - 0.35) < 1e-12
 
     sim_exp = gain_experiment(2, 2, 0.01, seed=12, warmup_jobs=3_000, measured_jobs=60_000)
     sim_shift = gain_experiment(
-        2, 2, 0.01, "shifted-exponential", seed=13, shift=0.2, unit_mean=False,
+        2, 2, 0.01 * 1.2, "shifted-exponential", seed=13, shift=0.2 / 1.2,
         warmup_jobs=3_000, measured_jobs=60_000,
     )
+    shift_gain, shift_se = 1.2 * sim_shift.gain, 1.2 * sim_shift.std_err
     dev_exp = abs(sim_exp.gain - 0.25)
-    dev_shift = abs(sim_shift.gain - 0.35)
-    sim_ok = dev_exp <= 3 * sim_exp.std_err and dev_shift <= 3 * sim_shift.std_err
+    dev_shift = abs(shift_gain - 0.35)
+    sim_ok = dev_exp <= 3 * sim_exp.std_err and dev_shift <= 3 * shift_se
     report(
         2, "zero-load gain worked examples", exact_ok and sim_ok,
         f"closed {g_exp:.3f}/{g_shift:.3f}, sim dev {dev_exp:.4f} (3se "
-        f"{3 * sim_exp.std_err:.4f}) and {dev_shift:.4f} (3se {3 * sim_shift.std_err:.4f})",
+        f"{3 * sim_exp.std_err:.4f}) and {dev_shift:.4f} (3se {3 * shift_se:.4f})",
     )
 
 

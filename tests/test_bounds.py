@@ -276,8 +276,9 @@ def test_zero_load_latency_rejects_split_counts_the_alternating_sum_cannot_resol
 
 def test_zero_load_gain_worked_examples():
     assert bounds.zero_load_gain("exponential", 2) == pytest.approx(0.25, abs=1e-12)
-    assert bounds.zero_load_gain(
-        "shifted-exponential", 2, shift=0.2, unit_mean=False
+    # a file 0.2 + Exp(1) is the unit-mean file with shift 0.2/1.2, in time units of 1.2
+    assert 1.2 * bounds.zero_load_gain(
+        "shifted-exponential", 2, shift=0.2 / 1.2
     ) == pytest.approx(0.35, abs=1e-12)
 
 

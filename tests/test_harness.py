@@ -493,17 +493,28 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
          "--out", str(tmp_path / "out.csv"), "--jobs", "0"],
         ["--experiment", "bound-check", "--lambda", "0.5", "--k", "2", "--seed", "-1",
          "--L", "100", "--measured-jobs", "100", "--out", str(tmp_path / "out.csv")],
+        ["--experiment", "bound-check", "--k", "4", "--lambda", "0.9", "--dist", "weibull",
+         "--shape", "0"],
     ]
     simulates = [
         ["--policy", "naive", "--d", "1", "--lambda", "0.5"],
         ["--policy", "ksplit", "--k", "2", "--lambda", "0.5", "--L", "100",
          "--measured-jobs", "100", "--seed", "-3"],
+        ["--policy", "ksplit", "--k", "4", "--lambda", "0.9", "--L", "100",
+         "--dist", "weibull", "--shape", "0"],
+    ]
+    bound_argvs = [
+        ["--k", "4", "--lambda", "0.9", "--dist", "weibull", "--shape", "0"],
+        ["--k", "4", "--lambda", "0.9", "--dist", "weibull", "--shape", "-1"],
     ]
     for argv in simulates:
         assert cli.main(["simulate", *argv]) == 2, argv
     for argv in sweeps:
         assert cli.main(["sweep", *argv]) == 2, argv
-    assert capsys.readouterr().err.count("config error") == len(simulates) + len(sweeps)
+    for argv in bound_argvs:
+        assert cli.main(["bound", *argv]) == 2, argv
+    assert capsys.readouterr().err.count("config error") == (
+        len(simulates) + len(sweeps) + len(bound_argvs))
 
 
 @pytest.mark.parametrize("argv,message", [

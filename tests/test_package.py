@@ -44,6 +44,21 @@ def test_readme_config_error_example(capsys, monkeypatch):
     assert expected == "config error: --L: duplicate key 'sim.L' (first set on line 11)"
 
 
+def test_readme_cli_examples(capsys):
+    blocks = re.findall(r"^```\w*\n(.*?)^```$", README.read_text(), re.DOTALL | re.MULTILINE)
+    examples = [example for block in blocks for example in block.split("\n\n")
+                if example.startswith(("$ codedlat bound ", "$ codedlat simulate "))]
+    assert len(examples) == 3
+    for example in examples:
+        command, *expected = example.strip().splitlines()
+        assert cli.main(command.split()[2:]) == 0, command
+        out = capsys.readouterr().out.splitlines()
+        if "..." in expected:  # the example shows its output's first lines only
+            cut = expected.index("...")
+            expected, out = expected[:cut], out[:cut]
+        assert out == expected, command
+
+
 def test_readme_csv_schema_lists_the_columns():
     section = README.read_text().split("## CSV schema", 1)[1]
     assert re.search(r"```\n(.*?)\n```", section).group(1) == ",".join(harness.CSV_COLUMNS)

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chisquare
 
 from codedlat.bounds import harmonic, redundant_request_latency, residual_moment
-from codedlat.distributions import Constant, Exponential, ShiftedExponential, Weibull
+from codedlat.distributions import Constant, Exponential, ShiftedExponential, Weibull, chunk_dist
 from codedlat import simulator
 from codedlat.simulator import (
     BatchSampling,
@@ -449,6 +449,20 @@ def test_gain_std_err_matches_the_paired_difference(lam):
     diff = replicated.samples - split.samples
     paired = diff.std(ddof=1) / math.sqrt(diff.size)
     assert GainResult.of(replicated, split).std_err == pytest.approx(paired, rel=0.03)
+
+
+@pytest.mark.parametrize("policy,additive", [
+    (NaiveReplication(d=2), ShiftedExponential(shift=0.2, rate=1.0)),
+    (LeastKOfN(n=4, k=2), ShiftedExponential(shift=0.1, rate=2.0)),
+])
+def test_additive_shift_is_the_rescaled_unit_mean_law(policy, additive):
+    # a file 0.2 + Exp(1) is the unit-mean file with shift 0.2/1.2 at 1.2x the load,
+    # in time units of 1.2: the same seed draws the same jobs
+    unit = chunk_dist("shifted-exponential", getattr(policy, "k", 1), shift=0.2 / 1.2)
+    want = run(_config(policy, additive, lam=0.5))
+    got = run(_config(policy, unit, lam=0.5 * 1.2))
+    assert 1.2 * got.mean == pytest.approx(want.mean, rel=1e-12)
+    assert got.queue_ccdf == want.queue_ccdf
 
 
 def test_empirical_residual_matches_renewal_formula():
