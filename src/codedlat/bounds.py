@@ -192,6 +192,12 @@ def mean_latency_bound_exp(k: int, lam: float, *, strict: bool = True) -> BoundR
     the same expressions outside the certified region lam > 1/k
     (useful as a conservative reference; downstream users must floor
     the result at the zero-load latency themselves).
+
+    The bound has no replication factor d.  It stays finite as
+    lam -> 1: r -> lg(4 lg k) - lg lg k = 2 and spill -> 1/(2 k^4), so
+    the limit is 2 ln k / k + 2/k + 1/(2 k^4) for k >= 3 (Phi3) and
+    sqrt(ln 2) + 1 + 1/32 = 1.8638 for k = 2 (Phi4), while the mean
+    latency of a split system diverges.
     """
     r_exp, spill = _split_levels(k, lam, strict)
     ln_k = math.log(k)
@@ -469,10 +475,12 @@ def theoretical_gain(
     E[X] sum_{r>=1} lam^(d^r).  Split side: the mean latency bound
     (exponential form for exponential chunks, the sub-exponential form
     plus the residual-max term otherwise), extrapolated below
-    lam = 1/k.  Because the proxy omits the arriving job's own service
-    while the assumed tail is fatter than the queue a d-choice job
-    actually joins, the two effects offset and the difference tracks
-    the simulated gain from below across the stable-load range.
+    lam = 1/k.  The proxy omits the arriving job's own service and the
+    split side is an upper bound, so the prediction is a loose lower
+    bound on the gain, negative on most of the paper's grid: of the 108
+    fig3a/fig3b/fig4 cells it is positive only at fig3a (4,2,2) lam 0.9,
+    (6,3,2) lam 0.9 and (8,4,2) lam 0.8 and 0.9, and its minimum is
+    -3.283 (fig4 (9,3,3) lam 0.4).
     """
     if d < 2 or d != int(d):
         raise ValueError(f"replication factor d must be an integer >= 2, got {d}")

@@ -12,11 +12,12 @@ A task's start depends only on earlier jobs, so a job's completion time
 is fixed when it is dispatched; under purging (``RedundantRequest``)
 each task leaves its server at the earlier of its own departure and
 that time.  ``run_many`` advances many non-purging runs (the points of
-a sweep) in lockstep as numpy lanes, counting each queue from a ring of
-its server's pending departures.  The event engine, the oracle for
-both, processes each completion from an explicit heap: a purged task
-leaves its queue at once, and every run checks that no task finishes
-before its service is done and that every job completes.
+a sweep) in lockstep as numpy lanes, counting each queue with one
+popcount over a ring of its server's pending departures.  The event
+engine, the oracle for both, processes each completion from an
+explicit heap: a purged task leaves its queue at once, and every run
+checks that no task finishes before its service is done and that every
+job completes.
 Every run consumes its own three RNG streams (arrivals, selection,
 service), each drawn in whole blocks (selection candidates as blocks of
 server rows), and every engine reads them through one chunked reader,
@@ -464,10 +465,12 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
     Each lane has its own streams and servers: rows of one ring of every
     server's last ``depth`` departures, so a queue length is the count of
     slots ahead of t (the strict ``dep > t`` rule); a write over a slot
-    still ahead of t doubles the depth first.  FCFS departures never
-    decrease, so a server's last departure is its newest slot, the one
-    before its write pointer (``_grow`` keeps it there).  Selection is a
-    stable argsort of (group id, queue length), then the policy's positions.
+    still ahead of t doubles the depth first.  The probe writes ``dep > t``
+    per slot into a zeroed bool buffer padded to whole 8-byte words and
+    counts each server's flags with one ``np.bitwise_count`` per ``uint64``
+    word, at every depth.  A server's last departure, where its next task
+    starts, lives apart in the flat array ``last``.  Selection is a stable
+    argsort of (group id, queue length), then the policy's positions.
     Lanes are padded to a common width with columns at private dummy
     servers that sort last and get zero-service padding tasks.
     """
@@ -492,9 +495,10 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
     lane_of_real = np.nonzero(real)[0]
 
     depth = _RING
-    ring = np.zeros((servers, depth))
+    ring, last = np.zeros((servers, depth)), np.zeros(servers)
     wp = np.zeros(servers, dtype=np.int64)
     key_base = gid * (depth + 1)
+    ahead = np.zeros((R, W, -(-depth // 8) * 8), dtype=bool)  # whole uint64 words
     lat = np.empty((R, measured))
     counts = np.zeros((R, 1), dtype=np.int64)
     # chunk buffers, reused: padding columns and padding services stay put
@@ -515,16 +519,18 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
         flat_task, flat_svc = t_task.reshape(_CHUNK, R * K), svc.reshape(_CHUNK, R * K)
         for j in range(J):
             c, q, dep = cand[j], qs[j], deps[j]
-            np.sum(ring.take(c, axis=0) > t_probe[j, :, :, None], axis=-1, out=q)
+            np.greater(ring.take(c, axis=0), t_probe[j, :, :, None], out=ahead[..., :depth])
+            np.add.reduce(np.bitwise_count(ahead.view(np.uint64)), axis=2, out=q)
             s = c.take(row_base + (key_base + q).argsort(axis=1, kind="stable").take(pick))
             if q.max() == depth and (ring[s, wp[s]] > flat_task[j]).any():
                 ring = _grow(ring, wp)
                 depth = ring.shape[1]
                 key_base = gid * (depth + 1)
+                ahead = np.zeros((R, W, -(-depth // 8) * 8), dtype=bool)
             w = wp[s]
-            np.maximum(ring[s, w - 1], flat_task[j], out=dep)
+            np.maximum(last.take(s), flat_task[j], out=dep)
             dep += flat_svc[j]
-            ring[s, w] = dep
+            ring[s, w] = last[s] = dep
             wp[s] = (w + 1) % depth
         first = max(warmup - j0, 0)
         if first < J:

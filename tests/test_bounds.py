@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from codedlat import bounds
+from codedlat import bounds, harness
 from codedlat.distributions import (
     Constant,
     Exponential,
@@ -59,6 +59,20 @@ def test_mean_bound_exp_wide_branch():
         + report.auxiliary["spill"]
     )
     assert report.value == pytest.approx(rebuilt, abs=1e-12)
+
+
+@pytest.mark.parametrize("k, branch, limit", [
+    (2, "Phi4", math.sqrt(math.log(2)) + 1 + 1 / 32),
+    (4, "Phi3", 2 * math.log(4) / 4 + 2 / 4 + 1 / (2 * 4**4)),
+])
+def test_mean_bound_exp_stays_finite_as_load_nears_one(k, branch, limit):
+    # r -> 2 and spill -> 1/(2 k^4) as lam -> 1; 1e-6 below saturation
+    # the value sits within O(1e-6) of the limit
+    report = bounds.mean_latency_bound_exp(k, 1 - 1e-6)
+    assert report.branch == branch
+    assert report.auxiliary["queue_level"] == pytest.approx(2.0, rel=1e-5)
+    assert report.auxiliary["spill"] == pytest.approx(1 / (2 * k**4), rel=1e-5)
+    assert report.value == pytest.approx(limit, rel=1e-5)
 
 
 @given(
@@ -434,6 +448,25 @@ def test_theoretical_gain_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32e3
+
+
+def test_theoretical_gain_is_positive_on_four_paper_cells():
+    # the prediction is a loose lower bound: over the 108 fig3a/fig3b/fig4
+    # cells it is positive only at high load on exponential chunks
+    gains = {}
+    for name in ("fig3a", "fig3b", "fig4"):
+        spec = harness.build_spec(harness.preset_entries(name))
+        for n, k, d in spec.codes:
+            for lam in spec.lam_grid:
+                gains[name, n, k, d, lam] = bounds.theoretical_gain(
+                    d, k, lam, spec.family, shift=spec.shift, shape=spec.shape).value
+    assert len(gains) == 108
+    assert sorted(cell for cell, g in gains.items() if g > 0) == [
+        ("fig3a", 4, 2, 2, 0.9), ("fig3a", 6, 3, 2, 0.9),
+        ("fig3a", 8, 4, 2, 0.8), ("fig3a", 8, 4, 2, 0.9),
+    ]
+    assert min(gains.values()) == pytest.approx(-3.283, abs=5e-4)
+    assert min(gains, key=gains.get) == ("fig4", 9, 3, 3, 0.4)
 
 
 def test_theoretical_gain_rejects_bad_inputs():
