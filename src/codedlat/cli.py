@@ -83,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="per-server arrival intensity in (0, 1)")
     sim.add_argument("--n", type=int, default=None, help="code.n (fanout)")
     sim.add_argument("--k", type=int, default=None, help="code.k (split count)")
-    sim.add_argument("--d", type=int, default=2, help="code.d (choices / replicas)")
-    sim.add_argument("--extra", type=int, default=1, help="redundant tasks beyond k")
+    sim.add_argument("--d", type=int, default=None, help="code.d (choices / replicas, default 2)")
+    sim.add_argument("--extra", type=int, default=None, help="redundant tasks beyond k (default 1)")
     _add_dist_flags(sim)
     sim.add_argument("--L", type=int, default=None, help="server count")
     sim.add_argument("--seed", type=int, default=0, help="seed")
@@ -128,25 +128,28 @@ def _build_parser() -> argparse.ArgumentParser:
 # subcommand bodies
 
 def _policy_from_args(args) -> object:
+    reads = {"naive": "d", "ksplit": "k d", "least": "k d" if args.n is None else "k n",
+             "batch": "k n", "redundant": "k extra"}[args.policy].split()
+    for flag in ("k", "n", "d", "extra"):
+        if vars(args)[flag] is not None and flag not in reads:
+            raise harness.ConfigError(f"--{flag}: policy {args.policy!r} does not read it")
+        if vars(args)[flag] is None and flag in reads and flag in ("k", "n"):
+            raise harness.ConfigError(f"--policy {args.policy} requires --{flag}")
+    d = 2 if args.d is None else args.d
     if args.policy == "naive":
-        return NaiveReplication(d=args.d)
-    if args.k is None:
-        raise harness.ConfigError(f"--policy {args.policy} requires --k")
+        return NaiveReplication(d=d)
     if args.policy == "ksplit":
-        return KSplit(k=args.k, d=args.d)
-    if args.policy == "least":
-        n = args.n if args.n is not None else args.d * args.k
-        return LeastKOfN(n=n, k=args.k)
+        return KSplit(k=args.k, d=d)
+    if args.policy == "least":  # reads --d only to set n = d k when --n is omitted
+        return LeastKOfN(n=d * args.k if args.n is None else args.n, k=args.k)
     if args.policy == "batch":
-        if args.n is None:
-            raise harness.ConfigError("--policy batch requires --n")
         return BatchSampling(n=args.n, k=args.k)
-    return RedundantRequest(k=args.k, extra=args.extra)
+    return RedundantRequest(k=args.k, extra=1 if args.extra is None else args.extra)
 
 
 def _service_from_args(args) -> dists.ServiceDistribution:
     # whole-file service (k = 1) for replication/batch arms, chunk service otherwise
-    k = 1 if args.policy in ("naive", "batch") or args.k is None else args.k
+    k = 1 if args.policy in ("naive", "batch") else args.k
     return dists.chunk_dist(args.dist, k, shift=args.shift, shape=args.shape)
 
 

@@ -11,13 +11,15 @@ previous departure) + service, so it never materializes future events.
 A task's start depends only on earlier jobs, so a job's completion time
 is fixed when it is dispatched; under purging (``RedundantRequest``)
 each task leaves its server at the earlier of its own departure and
-that time.  ``run_many`` advances many non-purging runs (the points of
-a sweep) in lockstep as numpy lanes, counting each queue with one
-popcount over a ring of its server's pending departures.  The event
-engine, the oracle for both, processes each completion from an
-explicit heap: a purged task leaves its queue at once, and every run
-checks that no task finishes before its service is done and that every
-job completes.
+that time.  ``NaiveReplication`` and ``KSplit`` jobs keep each group's
+least queue while probing it and place the task at once; other jobs
+are probed whole, then ``_choose`` picks.  ``run_many`` advances
+many non-purging runs (the points of a sweep) in lockstep as numpy
+lanes, counting each queue with one popcount over a ring of its
+server's pending departures.  The event engine, the oracle for both,
+processes each completion from an explicit heap: a purged task leaves
+its queue at once, and every run checks that no task finishes before
+its service is done and that every job completes.
 Every run consumes its own three RNG streams (arrivals, selection,
 service), each drawn in whole blocks (selection candidates as blocks of
 server rows), and every engine reads them through one chunked reader,
@@ -340,19 +342,13 @@ def _choose(cand: list, q: list, group: int, picks: int) -> list:
     """The servers sent a task: in each run of ``group`` candidates, the ``picks``
     with the shortest probed queues ``q``, ties to the earliest drawn.  The draw
     is uniform, so tie-breaking is deterministic without favoring any server.
+    The event oracle's rule, and the scalar engine's where picks > 1 or a job purges.
     """
     if group == 1:
         return cand
     if picks > 1:  # one group; the stable sort keeps draw order
         return [cand[i] for i in sorted(range(len(q)), key=q.__getitem__)[:picks]]
-    chosen = []
-    for base in range(0, len(q), group):
-        best = base
-        for i in range(base + 1, base + group):
-            if q[i] < q[best]:
-                best = i
-        chosen.append(cand[best])
-    return chosen
+    return [cand[min(range(b, b + group), key=q.__getitem__)] for b in range(0, len(q), group)]
 
 
 def _streams(seed: int, rate: float, service: ServiceDistribution):
@@ -405,7 +401,9 @@ def _run_fast(config: ClusterConfig):
     warmup = config.warmup_jobs
     shape = _shape(config.policy)
     fanout, group, picks = shape.fanout, shape.group, shape.picks
-    n_tasks, last_needed = shape.tasks, shape.needed - 1
+    n_tasks, last_needed, purging = shape.tasks, shape.needed - 1, shape.needed < shape.tasks
+    fused = picks == 1 and not purging  # each group's least queue is kept while probing
+    longest = warmup + config.measured_jobs  # more tasks than any queue holds
 
     pending = [deque() for _ in range(config.L)]  # times the tasks at a server leave, ascending
     lat = np.empty(config.measured_jobs)
@@ -413,29 +411,48 @@ def _run_fast(config: ClusterConfig):
     for j0, epochs, rows, service in _jobs(config):
         J, epochs = len(epochs), epochs.tolist()
         probed, dones = [], []
-        for t, cand, dep in zip(epochs, rows.tolist(), service.tolist()):
-            q = []
-            for s in cand:
-                dq = pending[s]
-                while dq and dq[0] <= t:
-                    dq.popleft()
-                q.append(len(dq))
-            probed += q
-            chosen = _choose(cand, q, group, picks)
-            for i in range(n_tasks):
-                # the chosen servers were just probed, so a server is busy until its last leave time
-                dq = pending[chosen[i]]
-                dep[i] += dq[-1] if dq else t
-                dq.append(dep[i])
-            # the job is done at its needed-th departure; a task still there then is purged
-            done = sorted(dep)[last_needed]
-            if done < max(dep):
+        if fused:
+            for t, groups, svc in zip(epochs, rows.reshape(J, -1, group).tolist(), service.tolist()):
+                done = t  # no task leaves before t, so done ends as the latest departure
+                for cand, dep in zip(groups, svc):
+                    least = longest
+                    for s in cand:
+                        dq = pending[s]
+                        while dq and dq[0] <= t:
+                            dq.popleft()
+                        n = len(dq)
+                        probed.append(n)
+                        if n < least:  # ties go to the earliest drawn
+                            least, best = n, dq
+                    dep += best[-1] if best else t
+                    best.append(dep)
+                    if dep > done:
+                        done = dep
+                dones.append(done)
+        else:
+            for t, cand, dep in zip(epochs, rows.tolist(), service.tolist()):
+                q = []
+                for s in cand:
+                    dq = pending[s]
+                    while dq and dq[0] <= t:
+                        dq.popleft()
+                    q.append(len(dq))
+                probed += q
+                chosen = _choose(cand, q, group, picks)
                 for i in range(n_tasks):
-                    if dep[i] > done:
-                        dq = pending[chosen[i]]
-                        dq.pop()
-                        insort(dq, done)
-            dones.append(done)
+                    # the chosen servers were just probed, so a server is busy until its last leave time
+                    dq = pending[chosen[i]]
+                    dep[i] += dq[-1] if dq else t
+                    dq.append(dep[i])
+                # the job is done at its needed-th departure; a task still there then is purged
+                done = sorted(dep)[last_needed] if purging else max(dep)
+                if purging:
+                    for i in range(n_tasks):
+                        if dep[i] > done:
+                            dq = pending[chosen[i]]
+                            dq.pop()
+                            insort(dq, done)
+                dones.append(done)
         first = max(warmup - j0, 0)
         if first < J:
             np.subtract(dones[first:], epochs[first:], out=lat[j0 + first - warmup : j0 + J - warmup])

@@ -528,6 +528,18 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
      "--shape: family 'exponential' does not read it"),
     (["bound", "--k", "4", "--lambda", "0.9", "--dist", "pareto", "--shape", "2.5", "--shift", "0.1"],
      "--shift: family 'pareto' does not read it"),
+    (["simulate", "--policy", "naive", "--k", "4", "--n", "9", "--extra", "3", "--lambda", "0.5"],
+     "--k: policy 'naive' does not read it"),
+    (["simulate", "--policy", "naive", "--extra", "3", "--lambda", "0.5"],
+     "--extra: policy 'naive' does not read it"),
+    (["simulate", "--policy", "batch", "--n", "5", "--k", "4", "--d", "7", "--lambda", "0.5"],
+     "--d: policy 'batch' does not read it"),
+    (["simulate", "--policy", "ksplit", "--k", "2", "--n", "4", "--lambda", "0.5"],
+     "--n: policy 'ksplit' does not read it"),
+    (["simulate", "--policy", "least", "--k", "2", "--n", "5", "--d", "3", "--lambda", "0.5"],
+     "--d: policy 'least' does not read it"),
+    (["simulate", "--policy", "redundant", "--k", "2", "--d", "3", "--lambda", "0.5"],
+     "--d: policy 'redundant' does not read it"),
 ])
 def test_cli_rejects_dist_flags_the_family_does_not_read(capsys, argv, message):
     assert cli.main(argv) == 2

@@ -47,6 +47,7 @@ def _config(policy, service, lam=0.5, **kw):
         (KSplit(k=3, d=2), Exponential(rate=3.0)),
         (LeastKOfN(n=6, k=3), ShiftedExponential(shift=0.05, rate=4.0)),
         (BatchSampling(n=5, k=4), Exponential(rate=1.0)),
+        (KSplit(k=8, d=3), Exponential(rate=8.0)),
     ],
 )
 def test_fast_and_event_engines_agree_exactly(policy, service):
@@ -192,6 +193,24 @@ def test_ring_overflow_grows_and_stays_exact(monkeypatch):
     assert max(q for stats in want for q, _ in stats.queue_ccdf) >= 16
 
 
+def test_scalar_runs_of_one_pick_per_group_take_the_fused_step(monkeypatch):
+    # the scalar engine finds NaiveReplication's and KSplit's group minima while
+    # probing; the event engine and every other shape keep the shared ``_choose``
+    def choose(*args):
+        raise AssertionError("a run called _choose")
+
+    monkeypatch.setattr(simulator, "_choose", choose)
+    for policy in (NaiveReplication(d=3), KSplit(k=3, d=2)):
+        config = _config(policy, Exponential(rate=2.0), warmup_jobs=100, measured_jobs=200)
+        assert run(config).job_count == 200
+        with pytest.raises(AssertionError, match="_choose"):
+            run(replace(config, engine="event"))
+    for policy in (LeastKOfN(n=6, k=3), RedundantRequest(k=2, extra=1)):
+        config = _config(policy, Exponential(rate=2.0), warmup_jobs=100, measured_jobs=200)
+        with pytest.raises(AssertionError, match="_choose"):
+            run(config)
+
+
 def test_run_many_keeps_order_across_engines_and_groups():
     configs = _lanes()[:7] + [
         _config(RedundantRequest(k=2, extra=1), Exponential(rate=2.0), measured_jobs=2_000),
@@ -275,21 +294,28 @@ def test_purging_fast_engine_equals_event_oracle():
     # the fast engine caps each task's departure at its job's needed-th one;
     # the event engine purges from a heap and checks every run
     cases = [
-        (RedundantRequest(k=k, extra=extra), service, lam)
+        (RedundantRequest(k=k, extra=extra), service, lam, 40)
         for k, extra in [(1, 0), (2, 1), (3, 2), (2, 3), (4, 4)]
         for service in (Exponential(rate=float(k)), Weibull(shape=1.5, scale=1.0 / k))
         for lam in (0.05, 0.9)
     ] + [
-        (RedundantRequest(k=2, extra=2), Constant(value=0.5), lam)  # ties between siblings
+        (RedundantRequest(k=2, extra=2), Constant(value=0.5), lam, 40)  # ties between siblings
         for lam in (0.3, 0.8)
+    ] + [
+        # every server probed by every job, so equal queues tie at most probes: the
+        # fast engine's fused group minimum against the event engine's ``_choose``
+        (policy, service, lam, L)
+        for policy, service, L in [(KSplit(k=8, d=3), Exponential(rate=8.0), 24),
+                                   (NaiveReplication(d=2), Exponential(rate=1.0), 2)]
+        for lam in (0.3, 0.9)
     ] + [
         # no choice and no purge: M/M/1 queues at load 0.9 pass length 16, so the
         # fast engine's tally of probed lengths grows across chunks
-        (LeastKOfN(n=4, k=4), Exponential(rate=4.0), 0.9)
+        (LeastKOfN(n=4, k=4), Exponential(rate=4.0), 0.9, 40)
     ]
-    for i, (policy, service, lam) in enumerate(cases):
+    for i, (policy, service, lam, L) in enumerate(cases):
         for warmup, measured in [(500, 2_000), *_CHUNK_EDGES]:
-            config = _config(policy, service, lam=lam, L=40, seed=i, warmup_jobs=warmup,
+            config = _config(policy, service, lam=lam, L=L, seed=i, warmup_jobs=warmup,
                              measured_jobs=measured, keep_samples=True)
             fast = run(config)
             event = run(replace(config, engine="event"))
