@@ -4,9 +4,10 @@ The heart of the package: mean and tail latency upper bounds for a
 file split k ways with d-fold probing per chunk, zero-load order
 statistics, redundant-request latencies, the two bounds for
 non-integral probe ratios, and the predicted lower bound on the
-latency gain of splitting over plain replication.  Every value is a
-deterministic function of its arguments: closed forms, exact sums and
-quadrature, no sampling.
+latency gain of splitting over plain replication.  Every bound, the
+gain prediction included, returns one report type, ``BoundReport``.
+Every value is a deterministic function of its arguments: closed
+forms, exact sums and quadrature, no sampling.
 
 Log conventions, fixed throughout: terms descending from maximal
 inequalities use natural logs; terms descending from the
@@ -34,18 +35,10 @@ from .distributions import (
     mgf_domain_sup,
 )
 from .golden import golden_section_min
-from .queue_models import (
-    DoubleExpTailModel,
-    batch_sampling_pmf,
-    double_exp_mean,
-    order_stat_expectation,
-    pmf_mean,
-    sum_order_stats,
-)
+from .queue_models import batch_sampling_pmf, double_exp_mean, order_stat_expectation
 
 __all__ = [
     "BoundReport",
-    "GainBound",
     "harmonic",
     "maximal_subexp_bound",
     "m_k_bound",
@@ -67,9 +60,11 @@ __all__ = [
 class BoundReport:
     """A bound value plus enough context to recompute it.
 
-    ``branch`` names the active formula (Phi1..Phi4, BoundI-tight,
-    BoundI-loose, BoundII); ``auxiliary`` carries intermediate
-    quantities (level r, spill-over term, the optimizer location, ...).
+    ``branch`` names the active formula (Phi1..Phi4, Unit/Gauss/Exp,
+    BoundI-tight, BoundI-loose, BoundII; a gain prediction takes its
+    split bound's); ``auxiliary`` carries intermediate quantities
+    (level r, spill-over term, the optimizer location, the replicated
+    proxy, ...).
     """
 
     value: float
@@ -380,22 +375,16 @@ def bound_I(lam: float, d: float, k: int, variant: str = "tight") -> BoundReport
     if variant not in ("tight", "loose"):
         raise ValueError(f"variant must be 'tight' or 'loose', got {variant!r}")
     k = int(k)
-    dist = batch_sampling_pmf(lam, d)
+    pmf = batch_sampling_pmf(lam, d)
     h = harmonic(k)
     if variant == "loose":
-        value = h + sum_order_stats(dist, k)
-        aux = {"q_mean": pmf_mean(dist), "q_max": dist.q_max}
-    else:
-        contributions = [
-            order_stat_expectation(dist, k, rank) / (k - rank + 1) for rank in range(1, k + 1)
-        ]
-        value = h + float(np.sum(contributions))
-        aux = {"q_max": dist.q_max, "order_stat_sum": float(np.sum(contributions))}
-    return BoundReport(
-        value=value,
-        branch=f"BoundI-{variant}",
-        auxiliary=aux,
-    )
+        q_mean = float(np.dot(np.arange(pmf.size), pmf))
+        return BoundReport(h + k * q_mean, "BoundI-loose",
+                           {"q_mean": q_mean, "q_max": pmf.size - 1})
+    order_stat_sum = float(np.sum([
+        order_stat_expectation(pmf, k, rank) / (k - rank + 1) for rank in range(1, k + 1)]))
+    return BoundReport(h + order_stat_sum, "BoundI-tight",
+                       {"q_max": pmf.size - 1, "order_stat_sum": order_stat_sum})
 
 
 def _interp_moments(pmf) -> tuple[float, float]:
@@ -425,37 +414,27 @@ def bound_II(lam: float, d: float, k: int) -> BoundReport:
     with mean mu and variance var; the order-statistic sum is then
     bounded by k * min_z [z + (mu - z + sqrt((mu - z)^2 + var)) / 2],
     minimized by golden-section search on [-q_max, q_max].
+
+    Known defect: that envelope strictly increases in z, so the search
+    returns the bracket's lower edge -q_max and the bracket, not the
+    envelope, sets the bound.  At fig5's cell (d = 1.4, k = 10) and
+    lam = 0.8, 0.85, 0.9 that gives ``z_star`` near -4, -4 and -5 and
+    values 22.562, 24.907 and 31.716, above the loose Bound I's
+    20.382, 24.798 and 31.605.
     """
     if k < 1 or k != int(k):
         raise ValueError(f"task count k must be a positive integer, got {k}")
-    dist = batch_sampling_pmf(lam, d)
+    pmf = batch_sampling_pmf(lam, d)
+    q_max = pmf.size - 1
     h = harmonic(k)
-    mu, var = _interp_moments(dist.pmf)
+    mu, var = _interp_moments(pmf)
 
     def envelope(z: float) -> float:
         return z + 0.5 * (mu - z + math.sqrt((mu - z) ** 2 + var))
 
-    z_star, inner = golden_section_min(envelope, -float(dist.q_max), float(dist.q_max))
-    return BoundReport(
-        value=h + k * inner,
-        branch="BoundII",
-        auxiliary={"interp_mean": mu, "interp_var": var, "z_star": z_star, "q_max": dist.q_max},
-    )
-
-
-@dataclass(frozen=True)
-class GainBound:
-    """Predicted gain of splitting over replication.
-
-    ``replicated_proxy`` is the expected total service of the jobs an
-    arriving request finds queued under d-choice dispatch, exact under
-    the assumed doubly-exponential queue tail; the prediction subtracts
-    the split side's mean latency bound from it.
-    """
-
-    value: float
-    replicated_proxy: float
-    split_bound: BoundReport
+    z_star, inner = golden_section_min(envelope, -float(q_max), float(q_max))
+    return BoundReport(h + k * inner, "BoundII",
+                       {"interp_mean": mu, "interp_var": var, "z_star": z_star, "q_max": q_max})
 
 
 def theoretical_gain(
@@ -466,7 +445,7 @@ def theoretical_gain(
     *,
     shift: float = 0.0,
     shape: float = 1.0,
-) -> GainBound:
+) -> BoundReport:
     """Predicted latency gain of a k-way split over d-fold replication.
 
     Replicated side: E[sum of Q whole-file services], with Q's CCDF
@@ -475,23 +454,20 @@ def theoretical_gain(
     E[X] sum_{r>=1} lam^(d^r).  Split side: the mean latency bound
     (exponential form for exponential chunks, the sub-exponential form
     plus the residual-max term otherwise), extrapolated below
-    lam = 1/k.  The proxy omits the arriving job's own service and the
-    split side is an upper bound, so the prediction is a loose lower
-    bound on the gain, negative on most of the paper's grid: of the 108
-    fig3a/fig3b/fig4 cells it is positive only at fig3a (4,2,2) lam 0.9,
-    (6,3,2) lam 0.9 and (8,4,2) lam 0.8 and 0.9, and its minimum is
-    -3.283 (fig4 (9,3,3) lam 0.4).
+    lam = 1/k.  The report's ``branch`` is the split bound's branch and
+    ``auxiliary`` holds ``replicated_proxy`` and ``split_bound``, whose
+    difference is the value.  The proxy omits the arriving job's own
+    service and the split side is an upper bound, so the prediction is
+    a loose lower bound on the gain, negative on most of the paper's
+    grid: of the 108 fig3a/fig3b/fig4 cells it is positive only at
+    fig3a (4,2,2) lam 0.9, (6,3,2) lam 0.9 and (8,4,2) lam 0.8 and 0.9,
+    and its minimum is -3.283 (fig4 (9,3,3) lam 0.4).
     """
     if d < 2 or d != int(d):
         raise ValueError(f"replication factor d must be an integer >= 2, got {d}")
     fam = canonical_family(family)
     full = chunk_dist(fam, 1, shift=shift, shape=shape)
-    queue = double_exp_mean(DoubleExpTailModel(d=float(d), per_queue_load=lam))
-    replicated_proxy = dists.mean(full) * queue
-
-    report = mean_latency_bound(fam, k, lam, shift=shift, shape=shape, strict=False)
-    return GainBound(
-        value=replicated_proxy - report.value,
-        replicated_proxy=replicated_proxy,
-        split_bound=report,
-    )
+    replicated_proxy = dists.mean(full) * double_exp_mean(d, lam)
+    split = mean_latency_bound(fam, k, lam, shift=shift, shape=shape, strict=False)
+    return BoundReport(replicated_proxy - split.value, split.branch,
+                       {"replicated_proxy": replicated_proxy, "split_bound": split.value})

@@ -27,7 +27,9 @@ Experiment kinds and their pass rules (tolerances are one-sided at
                       ``sim.measured_jobs`` arrivals after
                       ``sim.warmup_jobs`` (default 180,000 after
                       20,000); passes when it matches the renewal
-                      formula within 2 percent.
+                      formula within 2 percent.  It reads no
+                      ``code.*`` or ``sim.L`` key, and setting one
+                      is a configuration error.
 
 :func:`build_spec` builds every spec from ``key=value`` entries: the
 lines of a flat UTF-8 config file (``#`` starts a comment), a preset
@@ -276,6 +278,10 @@ def build_spec(entries: Iterable[tuple[str, str, str]]) -> SweepSpec:
     experiment = scalar("experiment", str, None)
     if experiment is None:
         raise ConfigError("missing key 'experiment'")
+    if experiment == "residual-check":
+        for key in (*_CODE, "sim.L"):
+            if key in seen:
+                raise ConfigError(f"{seen[key][0]}: {key} has no effect on residual-check")
     try:
         return SweepSpec(
             experiment=experiment,
@@ -319,7 +325,7 @@ def _align_codes(
     experiment: str, ns: Sequence[int], ks: Sequence[int], ds: Sequence[int]
 ) -> tuple[tuple[int, int, int], ...]:
     """Zip code.n/code.k/code.d lists, broadcasting scalars and filling gaps."""
-    if experiment == "residual-check" and not (ns or ks or ds):
+    if experiment == "residual-check":
         return ((1, 1, 1),)
     if not ks:
         raise ConfigError("missing key 'code.k'")
@@ -390,7 +396,7 @@ def _gain_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[Comp
     return [ComparisonRow(
         spec.experiment, spec.family, spec.shape, spec.shift,
         n, k, float(d), lam, None, seed,
-        sim.gain, sim.std_err, theory.value, theory.split_bound.branch, passed,
+        sim.gain, sim.std_err, theory.value, theory.branch, passed,
         aux_a=sim.replicated.mean, aux_b=sim.split.mean,
     )]
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from codedlat import bounds, harness
-from codedlat.queue_models import order_stat_expectation, sum_order_stats
+from codedlat.queue_models import order_stat_expectation
 from codedlat.distributions import (
     Exponential,
     ShiftedExponential,
@@ -234,7 +234,7 @@ def test_acceptance_08_order_stat_oracle():
         mc, se = column.mean(), column.std() / 1000.0
         value = order_stat_expectation(pmf, n, rank)
         worst_z = max(worst_z, abs(value - mc) / max(se, 1e-12))
-        total = sum_order_stats(pmf, n)
+        total = sum(order_stat_expectation(pmf, n, r) for r in range(1, n + 1))
         sum_dev = max(sum_dev, abs(total - n * float(np.dot(np.arange(size), pmf))))
     ok = worst_z <= 4.0 and sum_dev <= 1e-9
     report(8, "order statistics match Monte Carlo", ok,

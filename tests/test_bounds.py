@@ -376,6 +376,31 @@ def test_bound_II_reference_point():
     assert report.auxiliary["z_star"] == pytest.approx(-report.auxiliary["q_max"], abs=1e-4)
 
 
+# fig5's cell, ratio 1.4 and k = 10: (lam, tight I, loose I, II, II's z_star)
+_FIG5_BOUNDS = [
+    (0.8, 10.221501447458264, 20.381512253968264, 22.562141083965162, -3.9999973425008197),
+    (0.85, 11.754757612795538, 24.79792975396825, 24.907000829504376, -3.9999973425008197),
+    (0.9, 14.093459537421747, 31.604942493968256, 31.715914420036054, -4.999996678126025),
+]
+
+
+@pytest.mark.parametrize("lam,tight,loose,moment,z_star", _FIG5_BOUNDS)
+def test_batch_bounds_reference_values_bit_exact(lam, tight, loose, moment, z_star):
+    assert bounds.bound_I(lam, 1.4, 10, variant="tight").value == tight
+    assert bounds.bound_I(lam, 1.4, 10, variant="loose").value == loose
+    report = bounds.bound_II(lam, 1.4, 10)
+    assert (report.value, report.auxiliary["z_star"]) == (moment, z_star)
+
+
+@pytest.mark.parametrize("lam", [0.8, 0.85, 0.9])
+def test_bound_II_search_stops_at_the_bracket_edge(lam):
+    # a known defect: the envelope increases in z, so the golden search
+    # (tolerance 1e-6 of the bracket [-q_max, q_max]) ends at -q_max and
+    # the bracket sets the bound; a settled form should fail this test
+    aux = bounds.bound_II(lam, 1.4, 10).auxiliary
+    assert abs(aux["z_star"] + aux["q_max"]) <= 1e-6 * 2.0 * aux["q_max"]
+
+
 def test_bound_II_dominates_tight_bound_I_on_grid():
     for lam in (0.8, 0.85, 0.9):
         tight = bounds.bound_I(lam, 1.4, 10, variant="tight")
@@ -388,11 +413,23 @@ def test_bound_II_dominates_tight_bound_I_on_grid():
 
 def test_theoretical_gain_structure():
     gb = bounds.theoretical_gain(2, 4, 0.9)
-    assert gb.value == pytest.approx(gb.replicated_proxy - gb.split_bound.value, abs=1e-12)
-    assert gb.split_bound.branch == "Phi3"
+    aux = gb.auxiliary
+    assert gb.value == pytest.approx(aux["replicated_proxy"] - aux["split_bound"], abs=1e-12)
+    split = bounds.mean_latency_bound_exp(4, 0.9, strict=False)
+    assert split.branch == "Phi3"
+    assert (gb.branch, aux["split_bound"]) == (split.branch, split.value)
     # proxy is the mean-field queue backlog: sum of clamped tails
     expect = sum(min(1.0, 0.9 ** (2**r)) for r in range(1, 40))
-    assert gb.replicated_proxy == pytest.approx(expect, rel=1e-14)
+    assert aux["replicated_proxy"] == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("d,k,lam,family,kwargs,want", [
+    (2, 2, 0.9, "exponential", {}, 0.39453785655509943),
+    (2, 3, 0.5, "shifted-exponential", {"shift": 0.1}, -1.619795034529635),
+    (3, 3, 0.4, "weibull", {"shape": 1.5}, -3.283392465449074),
+], ids=["fig3a-422", "fig3b-632", "fig4-933"])
+def test_theoretical_gain_reference_values_bit_exact(d, k, lam, family, kwargs, want):
+    assert bounds.theoretical_gain(d, k, lam, family, **kwargs).value == want
 
 
 def _replicated_backlog_mc(draw_file, d: int, lam: float, rng, n: int = 200_000):
@@ -423,7 +460,7 @@ def test_replicated_proxy_matches_monte_carlo_of_the_queued_work(family, d, lam)
     rng = np.random.default_rng([RNG_SEED, d, int(10 * lam), len(family)])
     mc, se = _replicated_backlog_mc(draw_file, d, lam, rng)
     gb = bounds.theoretical_gain(d, 4, lam, family, **kwargs)
-    assert abs(gb.replicated_proxy - mc) <= 4.0 * se
+    assert abs(gb.auxiliary["replicated_proxy"] - mc) <= 4.0 * se
 
 
 def test_theoretical_gain_low_load_is_conservative():
@@ -432,9 +469,9 @@ def test_theoretical_gain_low_load_is_conservative():
     # at light load; it remains a valid lower bound, which is what the
     # sweep checks consume
     gb = bounds.theoretical_gain(2, 2, 0.01)
-    assert gb.replicated_proxy < 0.01
+    assert gb.auxiliary["replicated_proxy"] < 0.01
     assert gb.value < 0.0
-    assert gb.value >= -gb.split_bound.value
+    assert gb.value >= -gb.auxiliary["split_bound"]
 
 
 def test_theoretical_gain_peak_memory():
@@ -485,7 +522,7 @@ def test_theoretical_gain_rejects_bad_inputs():
 def test_theoretical_gain_finite_across_grid(d, k, lam):
     gb = bounds.theoretical_gain(d, k, lam)
     assert math.isfinite(gb.value)
-    assert gb.replicated_proxy > 0.0
+    assert gb.auxiliary["replicated_proxy"] > 0.0
 
 
 def test_bound_report_requires_finite_value():

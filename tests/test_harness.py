@@ -410,8 +410,12 @@ def test_cli_flag_repeating_a_preset_key_names_both_places(capsys):
     ("experiment = gain-sweep\nlambda.grid = 0.5\ncode.k = 2\ndist.family = shifted\n"
      "dist.shift = 0.1\n", ["--shape", "1.5"],
      "line 4, --shape: dist.shape has no effect on family 'shifted-exponential'"),
+    (None, ["--experiment", "residual-check", "--lambda", "0.5", "--k", "3"],
+     "--k: code.k has no effect on residual-check"),
+    ("experiment = residual-check\nlambda.grid = 0.5\nsim.L = 100\n", [],
+     "line 3: sim.L has no effect on residual-check"),
 ], ids=["line", "flags", "line-and-flags", "preset-and-flag", "code-list", "seed", "shift",
-        "shape"])
+        "shape", "residual-code", "residual-L"])
 def test_cli_range_errors_name_their_entries(tmp_path, monkeypatch, capsys, source, argv, message):
     if source in harness.PRESETS:  # a preset without sim.L, so that --L joins it
         entries = {key: raw for key, raw in harness.PRESETS[source].items() if key != "sim.L"}
@@ -495,6 +499,10 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
          "--L", "100", "--measured-jobs", "100", "--out", str(tmp_path / "out.csv")],
         ["--experiment", "bound-check", "--k", "4", "--lambda", "0.9", "--dist", "weibull",
          "--shape", "0"],
+        ["--experiment", "residual-check", "--lambda", "0.5", "--k", "3"],
+        ["--experiment", "residual-check", "--lambda", "0.5", "--n", "9"],
+        ["--experiment", "residual-check", "--lambda", "0.5", "--d", "2"],
+        ["--experiment", "residual-check", "--lambda", "0.5", "--L", "100"],
     ]
     simulates = [
         ["--policy", "naive", "--d", "1", "--lambda", "0.5"],

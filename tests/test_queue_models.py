@@ -4,49 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from codedlat.queue_models import (
-    BatchSamplingDist,
-    DoubleExpTailModel,
-    batch_sampling_pmf,
-    double_exp_ccdf,
-    double_exp_mean,
-    order_stat_expectation,
-    pmf_mean,
-    sum_order_stats,
-)
+from codedlat.queue_models import batch_sampling_pmf, double_exp_mean, order_stat_expectation
 
 
-def test_double_exp_ccdf_values():
-    m = DoubleExpTailModel(d=2.0, per_queue_load=0.9)
-    assert double_exp_ccdf(m, 1) == pytest.approx(0.81)
-    assert double_exp_ccdf(m, 2) == pytest.approx(0.9**4)
-    assert double_exp_ccdf(m, 3) == pytest.approx(0.9**8)
-    assert double_exp_ccdf(m, 0) == pytest.approx(0.9)  # the load, not the trivial 1
-    assert double_exp_ccdf(m, 40) == 0.0  # underflow is fine
-
-
-def test_double_exp_ccdf_monotone():
-    m = DoubleExpTailModel(d=1.4, per_queue_load=0.7)
-    values = [double_exp_ccdf(m, r) for r in range(0, 12)]
-    assert all(a >= b for a, b in zip(values, values[1:]))
+def _mean(pmf) -> float:
+    return float(np.dot(np.arange(len(pmf)), pmf))
 
 
 def test_double_exp_mean_sums_the_tail():
-    m = DoubleExpTailModel(d=2.0, per_queue_load=0.9)
     expect = sum(0.9 ** (2**r) for r in range(1, 60))
-    assert double_exp_mean(m) == pytest.approx(expect, rel=1e-14)
+    assert double_exp_mean(2.0, 0.9) == pytest.approx(expect, rel=1e-14)
     # a load far below one leaves nothing queued
-    assert double_exp_mean(DoubleExpTailModel(d=3.0, per_queue_load=1e-300)) == 0.0
+    assert double_exp_mean(3.0, 1e-300) == 0.0
 
 
 def test_batch_sampling_pmf_reference_point():
-    b = batch_sampling_pmf(0.9, 1.4)
-    assert b.q_max == 5
-    assert b.pmf[0] == pytest.approx(0.1)
-    assert b.pmf[1] == pytest.approx(0.126)
-    assert b.pmf[5] == pytest.approx(0.163155024, abs=1e-9)
-    assert pmf_mean(b) == pytest.approx(2.867597424, abs=1e-9)
-    assert float(np.sum(b.pmf)) == pytest.approx(1.0, abs=1e-12)
+    pmf = batch_sampling_pmf(0.9, 1.4)
+    assert pmf.size - 1 == 5  # q_max
+    assert pmf[0] == pytest.approx(0.1)
+    assert pmf[1] == pytest.approx(0.126)
+    assert pmf[5] == pytest.approx(0.163155024, abs=1e-9)
+    assert _mean(pmf) == pytest.approx(2.867597424, abs=1e-9)
+    assert float(np.sum(pmf)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_batch_sampling_pmf_rejects_resonance():
@@ -60,15 +39,13 @@ def test_batch_sampling_pmf_rejects_resonance():
 )
 @settings(max_examples=120, deadline=None)
 def test_batch_sampling_pmf_is_distribution(lam, d):
-    try:
-        b = batch_sampling_pmf(lam, d)
-    except ValueError:
-        assume(False)
-    assert np.all(b.pmf >= 0.0)
-    assert float(np.sum(b.pmf)) == pytest.approx(1.0, abs=1e-12)
+    assume(abs(lam * d - 1.0) >= 1e-12)  # the resonance, rejected by design
+    pmf = batch_sampling_pmf(lam, d)
+    assert np.all(pmf >= 0.0)
+    assert float(np.sum(pmf)) == pytest.approx(1.0, abs=1e-12)
     # geometric body below the truncation atom
-    for i in range(b.q_max):
-        assert b.pmf[i] == pytest.approx((1.0 - lam) * (lam * d) ** i, rel=1e-12)
+    for i in range(pmf.size - 1):
+        assert pmf[i] == pytest.approx((1.0 - lam) * (lam * d) ** i, rel=1e-12)
 
 
 def test_order_stat_expectation_two_coin_draws():
@@ -107,24 +84,24 @@ def test_order_stats_sum_identity_and_monotonicity(pmf, n):
     arr = arr / arr.sum()  # renormalize away float drift
     values = [order_stat_expectation(arr, n, rank) for rank in range(1, n + 1)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-    assert sum(values) == pytest.approx(sum_order_stats(arr, n), abs=1e-9)
-    assert sum_order_stats(arr, n) == pytest.approx(n * pmf_mean(arr), abs=1e-12)
+    # the ranks' expectations add up to n E[Q]
+    assert sum(values) == pytest.approx(n * _mean(arr), abs=1e-9)
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        DoubleExpTailModel(d=2.0, per_queue_load=1.0)
+        double_exp_mean(2.0, 1.0)
     with pytest.raises(ValueError):
-        DoubleExpTailModel(d=1.0, per_queue_load=0.5)
+        double_exp_mean(1.0, 0.5)
     with pytest.raises(ValueError):
-        BatchSamplingDist(q_max=1, pmf=np.array([0.7, 0.7]))
+        order_stat_expectation([0.7, 0.7], 2, 1)
 
 
 @pytest.mark.parametrize("lam", [0.8, 0.85, 0.9])
 def test_order_stat_expectation_matches_explicit_binomial_sum(lam):
     # the fig5 cell: probe ratio 14/10, ten draws
     pmf = batch_sampling_pmf(lam, 1.4)
-    cdf = np.cumsum(pmf.pmf)[:-1]
+    cdf = np.cumsum(pmf)[:-1]
     n = 10
     for rank in range(1, n + 1):
         want = sum(
