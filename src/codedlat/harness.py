@@ -23,26 +23,26 @@ Experiment kinds and their pass rules (tolerances are one-sided at
 * ``batch-sampling``  simulated batch-dispatch mean; passes when
                       mean <= tight bound + 3 s.e. <= loose bound and
                       the moment-space bound also dominates the mean.
-* ``residual-check``  busy-server residual of one M/G/1 queue over
-                      ``sim.measured_jobs`` arrivals after
-                      ``sim.warmup_jobs`` (default 180,000 after
-                      20,000); passes when it matches the renewal
-                      formula within 2 percent.  It reads no
-                      ``code.*`` or ``sim.L`` key, and setting one
-                      is a configuration error.
+* ``residual-check``  busy-server residual of one M/G/1 queue; passes
+                      when it matches the renewal formula within 2
+                      percent.
 
 :func:`build_spec` builds every spec from ``key=value`` entries: the
 lines of a flat UTF-8 config file (``#`` starts a comment), a preset
-of :data:`PRESETS` (every key but ``sim.seed`` and ``out.path``) and
-the CLI's sweep flags alike.  Recognized keys: ``experiment``,
-``lambda.grid``, ``code.n``, ``code.k``, ``code.d``, ``dist.family``,
-``dist.shape``, ``dist.shift``, ``sim.L``, ``sim.seed``,
-``sim.warmup_jobs``, ``sim.measured_jobs``, ``out.path``.  ``code.*``
-accept comma-separated aligned lists (scalars broadcast); ``dist.*``
-default to exponential, shape 1, shift 0 and ``sim.seed`` to 0.  Omitted
-``sim.*`` keys take L = max(2000, 200 * k) and warmup = 20 * L jobs, and
-measure 20,000 jobs per arm for gain-sweep and 1,000,000 // k jobs for
-bound-check, tail-check and batch-sampling (residual-check: above).
+of :data:`PRESETS` (every key its kind reads but ``sim.seed`` and
+``out.path``) and the CLI's sweep flags alike.  Recognized keys:
+``experiment``, ``lambda.grid``, ``code.n``, ``code.k``, ``code.d``,
+``dist.family``, ``dist.shape``, ``dist.shift``, ``sim.L``,
+``sim.seed``, ``sim.warmup_jobs``, ``sim.measured_jobs``,
+``out.path``; a kind rejects the keys it never reads (``_UNREAD``:
+residual-check ``code.*`` and ``sim.L``, batch-sampling ``code.d``).
+``code.*`` accept comma-separated aligned lists (scalars broadcast);
+``dist.*`` default to exponential, shape 1, shift 0 and ``sim.seed`` to
+0.  Omitted ``sim.*`` keys stay ``None`` up to the one function that
+owns each default: ``ClusterConfig`` (L = max(2000, 200 * k), warmup =
+20 * L jobs, 1,000,000 // k measured jobs), ``gain_arms`` (20,000
+measured jobs per arm) and ``empirical_residual`` (residual-check:
+180,000 measured arrivals after 20,000).
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ class SweepSpec:
     """One sweep: experiment kind, coordinate grids, and budget overrides.
 
     ``codes`` holds (n, k, d) triples.  For the queue-based kinds the
-    fanout satisfies n = d * k; for batch-sampling only (n, k) with
-    k < n < 2k matters and d is ignored.  ``L``, ``warmup_jobs`` and
+    fanout satisfies n = d * k; batch-sampling reads only (n, k), k < n < 2k
+    (:func:`build_spec` rejects a ``code.d``).  ``L``, ``warmup_jobs`` and
     ``measured_jobs`` of ``None`` take the defaults in the module docstring.
     """
 
@@ -176,24 +176,25 @@ class SweepSpec:
         kind = self.experiment
         if kind == "residual-check":
             return
+        code = f"code ({n},{k})" if kind == "batch-sampling" else f"code ({n},{k},{d})"
         if self.L is not None and self.L < n:
-            raise ConfigError(f"code ({n},{k},{d}): sim.L = {self.L} servers cannot host fanout {n}",
+            raise ConfigError(f"{code}: sim.L = {self.L} servers cannot host fanout {n}",
                               ("sim.L", *_CODE))
         if kind == "batch-sampling":
             if not k < n < 2 * k:
-                raise ConfigError(f"code ({n},{k}): batch sampling needs k < n < 2k", _CODE)
+                raise ConfigError(f"{code}: batch sampling needs k < n < 2k", _CODE)
             for lam in self.lam_grid:
                 if abs(lam * n / k - 1.0) < 1e-12:
-                    raise ConfigError(f"code ({n},{k}): batch bounds are singular at lambda = k/n",
+                    raise ConfigError(f"{code}: batch bounds are singular at lambda = k/n",
                                       ("lambda.grid", *_CODE))
             return
         if d < 2:
-            raise ConfigError(f"code ({n},{k},{d}): replication degree d must be >= 2", _CODE)
+            raise ConfigError(f"{code}: replication degree d must be >= 2", _CODE)
         if n != d * k:
-            raise ConfigError(f"code ({n},{k},{d}): fanout n must equal d*k", _CODE)
+            raise ConfigError(f"{code}: fanout n must equal d*k", _CODE)
         if k < 2:
             # a one-chunk "split" degenerates and the bounds reject it
-            raise ConfigError(f"code ({n},{k},{d}): {kind} needs a split count k >= 2", _CODE)
+            raise ConfigError(f"{code}: {kind} needs a split count k >= 2", _CODE)
 
 
 @dataclass(frozen=True)
@@ -242,6 +243,9 @@ _CONFIG_KEYS = (
     "sim.L", "sim.seed", "sim.warmup_jobs", "sim.measured_jobs", "out.path",
 )
 
+# the keys each experiment kind never reads; setting one is a configuration error
+_UNREAD = {"residual-check": (*_CODE, "sim.L"), "batch-sampling": ("code.d",)}
+
 
 def _parse(key: str, where: str, raw: str, kind: type):
     try:
@@ -278,10 +282,9 @@ def build_spec(entries: Iterable[tuple[str, str, str]]) -> SweepSpec:
     experiment = scalar("experiment", str, None)
     if experiment is None:
         raise ConfigError("missing key 'experiment'")
-    if experiment == "residual-check":
-        for key in (*_CODE, "sim.L"):
-            if key in seen:
-                raise ConfigError(f"{seen[key][0]}: {key} has no effect on residual-check")
+    for key in _UNREAD.get(experiment, ()):
+        if key in seen:
+            raise ConfigError(f"{seen[key][0]}: {key} has no effect on {experiment}")
     try:
         return SweepSpec(
             experiment=experiment,
@@ -372,20 +375,18 @@ def _point_configs(spec: SweepSpec, code, lam: float, seed: int) -> tuple[Cluste
     """The simulations of one grid point: both arms of a gain point, one run otherwise."""
     n, k, d = code
     kind = spec.experiment
-    common = dict(L=spec.L, seed=seed, warmup_jobs=spec.warmup_jobs)
+    common = dict(L=spec.L, seed=seed, warmup_jobs=spec.warmup_jobs,
+                  measured_jobs=spec.measured_jobs)
     if kind == "residual-check":
         return ()
     if kind == "gain-sweep":
-        extra = {} if spec.measured_jobs is None else {"measured_jobs": spec.measured_jobs}
-        return gain_arms(k, d, lam, spec.family, shift=spec.shift, shape=spec.shape,
-                         **common, **extra)
+        return gain_arms(k, d, lam, spec.family, shift=spec.shift, shape=spec.shape, **common)
     if kind == "batch-sampling":
         policy, service = BatchSampling(n=n, k=k), dists.Exponential(rate=1.0)
     else:
         policy = KSplit(k=k, d=d)
         service = dists.chunk_dist(spec.family, k, shift=spec.shift, shape=spec.shape)
-    return (ClusterConfig(lam, policy, service, measured_jobs=spec.measured_jobs,
-                          keep_samples=kind == "tail-check", **common),)
+    return (ClusterConfig(lam, policy, service, keep_samples=kind == "tail-check", **common),)
 
 
 def _gain_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
@@ -456,9 +457,8 @@ def _batch_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[Com
 def _residual_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
     n, k, d = code
     service = dists.chunk_dist(spec.family, 1, shift=spec.shift, shape=spec.shape)
-    warmup = 20_000 if spec.warmup_jobs is None else spec.warmup_jobs
-    sim = empirical_residual(service, lam, seed=seed,
-                             jobs=warmup + (spec.measured_jobs or 180_000), warmup=warmup)
+    sim = empirical_residual(service, lam, seed=seed, warmup_jobs=spec.warmup_jobs,
+                             measured_jobs=spec.measured_jobs)
     theory = bounds.residual_moment(service)
     passed = abs(sim - theory) <= 0.02 * theory
     return [ComparisonRow(
@@ -548,7 +548,7 @@ def write_csv(rows: Iterable[ComparisonRow], path: str | os.PathLike) -> None:
 
 
 # ---------------------------------------------------------------------------
-# figure presets: config entries that set every key but sim.seed and out.path
+# figure presets: config entries that set every key their kind reads but sim.seed and out.path
 
 _GAIN_ENTRIES = {
     "experiment": "gain-sweep", "lambda.grid": "0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9",
@@ -563,7 +563,7 @@ PRESETS: dict[str, dict[str, str]] = {
     "fig4": {**_GAIN_ENTRIES, "dist.family": "weibull", "dist.shape": "1.5"},
     "fig5": {
         "experiment": "batch-sampling", "lambda.grid": "0.8, 0.85, 0.9",
-        "code.n": "14", "code.k": "10", "code.d": "1",
+        "code.n": "14", "code.k": "10",
         "dist.family": "exponential", "dist.shape": "1", "dist.shift": "0",
         "sim.L": "2000", "sim.warmup_jobs": "40000", "sim.measured_jobs": "30000",
     },

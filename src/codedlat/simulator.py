@@ -742,18 +742,18 @@ def gain_arms(
     shape: float = 1.0,
     L: int | None = None,
     warmup_jobs: int | None = None,
-    measured_jobs: int = 20_000,
+    measured_jobs: int | None = None,
 ) -> tuple[ClusterConfig, ClusterConfig]:
     """The (replicated, split) configs of a k-way split against d-choice dispatch.
 
-    Both arms run on the same seed (shared arrival epochs) and the same
-    cluster size; the replicated arm serves unit-mean whole files via
-    ``NaiveReplication(d)``, the split arm serves mean-1/k chunks via
-    ``LeastKOfN(d*k, k)``.
+    Both arms run on the same seed (shared arrival epochs) and cluster
+    size and measure ``measured_jobs`` jobs (20,000 when None); the
+    replicated arm serves unit-mean whole files via ``NaiveReplication(d)``,
+    the split arm mean-1/k chunks via ``LeastKOfN(d*k, k)``.
     """
     chunk = dists.chunk_dist(family, k, shift=shift, shape=shape)
-    split = ClusterConfig(lam, LeastKOfN(d * k, k), chunk, L=L, seed=seed,
-                          warmup_jobs=warmup_jobs, measured_jobs=measured_jobs)
+    split = ClusterConfig(lam, LeastKOfN(d * k, k), chunk, L=L, seed=seed, warmup_jobs=warmup_jobs,
+                          measured_jobs=20_000 if measured_jobs is None else measured_jobs)
     full = dists.chunk_dist(family, 1, shift=shift, shape=shape)
     return replace(split, policy=NaiveReplication(d), service=full), split
 
@@ -773,21 +773,21 @@ def empirical_residual(
     arrival_rate: float,
     *,
     seed: int = 0,
-    jobs: int = 200_000,
-    warmup: int | None = None,
+    warmup_jobs: int | None = None,
+    measured_jobs: int | None = None,
 ) -> float:
     """Mean residual service seen by a Poisson arrival at a busy M/G/1 server.
 
-    Single FCFS queue; each arrival that finds the server busy records
-    the remaining service of the task in service, and the average over
-    those arrivals estimates the stationary busy-conditioned residual
-    (E[X^2] / (2 E[X]) in closed form).
+    Single FCFS queue fed ``warmup_jobs`` arrivals (20,000 when None),
+    then ``measured_jobs`` (180,000 when None); each measured arrival that
+    finds the server busy records the remaining service in progress, and
+    their average estimates the busy-conditioned residual E[X^2] / (2 E[X]).
     """
     rho = arrival_rate * dists.mean(service)
     if not 0.0 < rho < 1.0:
         raise ValueError(f"unstable single queue: utilization {rho}")
-    if warmup is None:
-        warmup = jobs // 10
+    warmup = 20_000 if warmup_jobs is None else warmup_jobs
+    jobs = warmup + (180_000 if measured_jobs is None else measured_jobs)
     arrivals, _, svc = _streams(seed, arrival_rate, service)
 
     pending = deque()

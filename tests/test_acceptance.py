@@ -332,7 +332,7 @@ def test_acceptance_12_residual_and_residual_max():
     ok, lines = True, []
     for dist, lam in ((Exponential(rate=2.0), 0.6), (ShiftedExponential(shift=0.1, rate=2.0), 0.5)):
         want = bounds.residual_moment(dist)
-        got = empirical_residual(dist, lam, seed=9, jobs=300_000)
+        got = empirical_residual(dist, lam, seed=9, warmup_jobs=30_000, measured_jobs=270_000)
         rel = abs(got - want) / want
         ok = ok and rel < 0.02
         lines.append(f"{type(dist).__name__}: rel dev {rel:.4f}")

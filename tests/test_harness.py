@@ -212,7 +212,7 @@ def test_presets_cover_the_advertised_grid():
         assert (spec.family, spec.shift, spec.shape) == (family, shift, shape)
     fig5 = harness.build_spec(harness.preset_entries("fig5"))
     assert fig5.experiment == "batch-sampling"
-    assert fig5.codes == ((14, 10, 1),)
+    assert fig5.codes == ((14, 10, 2),)
     assert fig5.lam_grid == (0.8, 0.85, 0.9)
     assert fig5.L == 2000
     with pytest.raises(harness.ConfigError):
@@ -221,8 +221,9 @@ def test_presets_cover_the_advertised_grid():
 
 @pytest.mark.parametrize("name", sorted(harness.PRESETS))
 def test_preset_is_the_config_file_of_its_entries(tmp_path, name):
-    # a preset leaves exactly the seed and the output path to its user
-    assert set(harness.PRESETS[name]) == set(harness._CONFIG_KEYS) - {"sim.seed", "out.path"}
+    # a preset sets every key its kind reads but the seed and the output path
+    unread = harness._UNREAD.get(harness.PRESETS[name]["experiment"], ())
+    assert set(harness.PRESETS[name]) == set(harness._CONFIG_KEYS) - {"sim.seed", "out.path", *unread}
     text = "".join(f"{key} = {raw}\n" for key, _, raw in harness.preset_entries(name))
     entries = harness.config_entries(write(tmp_path, text))
     assert harness.build_spec(entries) == harness.build_spec(harness.preset_entries(name))
@@ -279,19 +280,31 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
 
 def test_residual_check_measures_its_jobs_after_warmup(tmp_path, monkeypatch):
     # sim.measured_jobs counts arrivals after sim.warmup_jobs, as in every other kind
-    calls = []
-    real = harness.empirical_residual
+    calls, arrivals = [], []
+    real, real_epochs = harness.empirical_residual, simulator._epochs
 
     def recording(service, lam, **kwargs):
-        calls.append((kwargs["jobs"], kwargs["warmup"]))
+        calls.append((kwargs["warmup_jobs"], kwargs["measured_jobs"]))
         return real(service, lam, **kwargs)
 
+    def counting(stream, total):
+        arrivals.append(0)
+        for j0, epochs in real_epochs(stream, total):
+            arrivals[-1] += len(epochs)
+            yield j0, epochs
+
     monkeypatch.setattr(harness, "empirical_residual", recording)
+    monkeypatch.setattr(simulator, "_epochs", counting)
     base = ["sweep", "--experiment", "residual-check", "--lambda", "0.5"]
     short = base + ["--warmup-jobs", "5000", "--measured-jobs", "1000"]
+    explicit = base + ["--warmup-jobs", "20000", "--measured-jobs", "180000"]
     assert cli.main(short + ["--out", str(tmp_path / "short.csv")]) == 0
     assert cli.main(base + ["--out", str(tmp_path / "default.csv")]) == 0
-    assert calls == [(6000, 5000), (200_000, 20_000)]
+    assert cli.main(explicit + ["--out", str(tmp_path / "explicit.csv")]) == 0
+    # the sweep hands its budgets over unchanged, and empirical_residual owns the defaults
+    assert calls == [(5000, 1000), (None, None), (20_000, 180_000)]
+    assert arrivals == [6000, 200_000, 200_000]
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
 
 
 def test_cli_out_dir_env_fallback(tmp_path, capsys, monkeypatch):
@@ -399,7 +412,7 @@ def test_cli_flag_repeating_a_preset_key_names_both_places(capsys):
     ("experiment = bound-check\nlambda.grid = 0.5\ncode.k = 4\n", ["--d", "3", "--L", "5"],
      "--L, line 3, --d: code (12,4,3): sim.L = 5 servers cannot host fanout 12"),
     ("fig5", ["--L", "5"],
-     "--L, preset fig5: code (14,10,1): sim.L = 5 servers cannot host fanout 14"),
+     "--L, preset fig5: code (14,10): sim.L = 5 servers cannot host fanout 14"),
     (None, ["--experiment", "gain-sweep", "--lambda", "0.5", "--n", "4, 6", "--k", "2, 3, 4"],
      "--n: key 'code.n' has 2 entries, expected 3 to match the other code lists"),
     (None, ["--experiment", "bound-check", "--lambda", "0.5", "--k", "2", "--seed", "-1"],
@@ -414,8 +427,11 @@ def test_cli_flag_repeating_a_preset_key_names_both_places(capsys):
      "--k: code.k has no effect on residual-check"),
     ("experiment = residual-check\nlambda.grid = 0.5\nsim.L = 100\n", [],
      "line 3: sim.L has no effect on residual-check"),
+    (None, ["--experiment", "batch-sampling", "--lambda", "0.8", "--n", "14", "--k", "10",
+            "--d", "7"],
+     "--d: code.d has no effect on batch-sampling"),
 ], ids=["line", "flags", "line-and-flags", "preset-and-flag", "code-list", "seed", "shift",
-        "shape", "residual-code", "residual-L"])
+        "shape", "residual-code", "residual-L", "batch-d"])
 def test_cli_range_errors_name_their_entries(tmp_path, monkeypatch, capsys, source, argv, message):
     if source in harness.PRESETS:  # a preset without sim.L, so that --L joins it
         entries = {key: raw for key, raw in harness.PRESETS[source].items() if key != "sim.L"}
@@ -466,6 +482,14 @@ def test_cli_dist_help_lists_only_accepted_families(capsys):
     assert "constant" not in families
     for family in families:
         dists.canonical_family(family)
+
+
+def test_cli_experiment_help_lists_exactly_the_accepted_kinds(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    listed = re.search(r"experiment: (.*?) --lambda", text).group(1)
+    assert sorted(re.split(r", | or ", listed)) == sorted(harness._ROWS)
 
 
 def test_cli_simulate_smoke(capsys):
@@ -621,3 +645,39 @@ def test_cli_flag_repeating_a_config_key_names_both_places(tmp_path, capsys):
 def test_cli_bad_flag_value_names_the_flag(capsys):
     assert cli.main(["sweep", "--experiment", "bound-check", "--k", "two", "--lambda", "0.5"]) == 2
     assert "--k: key 'code.k' expects int, got 'two'" in capsys.readouterr().err
+
+
+# a small valid spec of every experiment kind, and a valid value off each key's default or base
+KIND_ENTRIES = {
+    "gain-sweep": {"code.k": "2", "sim.L": "60"},
+    "bound-check": {"code.k": "2", "sim.L": "60"},
+    "tail-check": {"code.k": "2", "sim.L": "60"},
+    "batch-sampling": {"code.n": "5", "code.k": "4", "sim.L": "60"},
+    "residual-check": {},
+}
+OTHER_VALUES = {
+    "lambda.grid": "0.7", "code.n": "6", "code.k": "3", "code.d": "3", "dist.family": "weibull",
+    "dist.shape": "1.5", "dist.shift": "0.1", "sim.L": "80", "sim.seed": "1",
+    "sim.warmup_jobs": "250", "sim.measured_jobs": "350",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_ENTRIES))
+def test_every_key_changes_the_rows_or_is_rejected(kind):
+    # a row is recomputable from the keys that built it only if no key is silently ignored
+    assert set(KIND_ENTRIES) == set(harness._ROWS)
+    assert set(OTHER_VALUES) == set(harness._CONFIG_KEYS) - {"experiment", "out.path"}
+    base = {"experiment": kind, "lambda.grid": "0.5", **KIND_ENTRIES[kind],
+            "sim.warmup_jobs": "200", "sim.measured_jobs": "300"}
+
+    def rows(entries):
+        spec = harness.build_spec([(key, f"--{key}", raw) for key, raw in entries.items()])
+        return harness.render_csv(harness.run_sweep(spec))
+
+    want = rows(base)
+    for key, raw in OTHER_VALUES.items():
+        try:
+            got = rows({**base, key: raw})
+        except harness.ConfigError:
+            continue
+        assert got != want, key

@@ -361,7 +361,7 @@ def test_chunk_size_leaves_scalar_runs_and_residuals_unchanged(monkeypatch):
     def outputs():
         stats = [run(c) for c in configs + events] + run_many(lanes)
         return stats, [s.samples for s in stats], empirical_residual(
-            Exponential(rate=2.0), 1.8, seed=4, jobs=1_001, warmup=100)
+            Exponential(rate=2.0), 1.8, seed=4, warmup_jobs=100, measured_jobs=901)
 
     monkeypatch.setattr(simulator, "_run_lanes", run_lanes)
     reference = _residual_job_by_job(Exponential(rate=2.0), 1.8, seed=4, jobs=1_001, warmup=100)
@@ -498,7 +498,7 @@ def test_empirical_residual_matches_renewal_formula():
         (Constant(value=0.8), 0.5),
     ]:
         want = residual_moment(service)
-        got = empirical_residual(service, lam, seed=4, jobs=150_000)
+        got = empirical_residual(service, lam, seed=4, warmup_jobs=15_000, measured_jobs=135_000)
         assert got == pytest.approx(want, rel=0.02)
 
 
