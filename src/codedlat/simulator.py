@@ -17,9 +17,12 @@ are probed whole, then ``_choose`` picks.  ``run_many`` advances
 many non-purging runs (the points of a sweep) in lockstep as numpy
 lanes, counting each queue with one popcount over a ring of its
 server's pending departures.  The event engine, the oracle for both,
-processes each completion from an explicit heap: a purged task leaves
-its queue at once, and every run checks that no task finishes before
-its service is done and that every job completes.
+processes each completion from an explicit heap.  A task is a (job,
+service, server) tuple in its server's deque, the task in service at
+the head.  A purged task leaves its deque at once, so a completion
+whose task is no longer at the head is skipped.  Every run checks that
+no task finishes before its service is done and that every job
+completes.
 Every run consumes its own three RNG streams (arrivals, selection,
 service), each drawn in whole blocks (selection candidates as blocks of
 server rows), and every engine reads them through one chunked reader,
@@ -33,7 +36,7 @@ import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, replace
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -389,7 +392,7 @@ def _jobs(config: ClusterConfig):
 
 def _tally(counts: np.ndarray, probed: list) -> np.ndarray:
     """``counts`` of probes by queue length seen, plus the lengths ``probed``."""
-    tally = np.bincount(probed, minlength=counts.size)
+    tally = np.bincount(np.fromiter(probed, np.intp, len(probed)), minlength=counts.size)
     tally[: counts.size] += counts
     return tally
 
@@ -564,16 +567,6 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
 # ---------------------------------------------------------------------------
 # event engine: explicit completion heap, the oracle for the fast paths
 
-class _Task:
-    __slots__ = ("job", "svc", "server", "done")
-
-    def __init__(self, job, svc, server):
-        self.job = job
-        self.svc = svc
-        self.server = server
-        self.done = False
-
-
 class _Job:
     __slots__ = ("t", "idx", "remaining", "tasks")
 
@@ -585,85 +578,89 @@ class _Job:
 
 
 def _run_event(config: ClusterConfig):
-    # Only completions live in the heap, ordered by (time, seq).  Each
-    # arrival first processes every completion at or before its epoch,
-    # so it sees those tasks gone, matching the fast engine's strict
-    # departure > t queue count.  A purged task leaves its queue at once.
+    # A task is a (job, service, server) tuple.  Each server's deque holds its
+    # tasks, the one in service at the head, so a probe reads its length.  Only
+    # completions live in the heap, as (time, seq, task) ordered by (time, seq).
+    # Each arrival first processes every completion at or before its epoch, so
+    # it sees those tasks gone, matching the fast engine's strict departure > t
+    # queue count; a last arrival at inf drains the heap.  A purged task leaves
+    # its deque at once, so a popped completion whose task is no longer at its
+    # server's head was purged in service and is skipped.
     L = config.L
     warmup, measured = config.warmup_jobs, config.measured_jobs
     total = warmup + measured
     shape = _shape(config.policy)
     fanout, group, picks = shape.fanout, shape.group, shape.picks
-    n_tasks, needed = shape.tasks, shape.needed
+    needed, purging = shape.needed, shape.needed < shape.tasks
 
-    queues = [deque() for _ in range(L)]  # tasks waiting behind the one in service
-    current: list[_Task | None] = [None] * L
+    queues = [deque() for _ in range(L)]
     heap: list[tuple] = []
     seq = 0
     lat = np.empty(measured)
     counts = np.zeros(1, dtype=np.int64)  # probes by queue length seen
+    probed: list[int] = []
     jobs_done = 0
 
-    def start_next(s, now):
-        nonlocal seq
-        q = queues[s]
-        if q:
-            nxt = current[s] = q.popleft()
-            seq += 1
-            heappush(heap, (now + nxt.svc, seq, s, nxt))
-        else:
-            current[s] = None
+    def arrivals():
+        # every job, then the last arrival; a chunk's probes are tallied once
+        # its jobs are dispatched
+        nonlocal counts
+        for j0, epochs, rows, service in _jobs(config):
+            yield from zip(range(j0, total), epochs.tolist(), rows.tolist(), service.tolist())
+            counts = _tally(counts, probed[max(warmup - j0, 0) * fanout :])
+            probed.clear()
+        yield total, math.inf, None, None
 
-    def complete(t, _, s, task):
-        nonlocal jobs_done
-        if current[s] is not task:
-            return  # purged mid-service; obsolete event
-        job = task.job
-        if t < job.t + task.svc - 1e-9:
-            raise AssertionError("task finished before its service demand")
-        task.done = True
-        start_next(s, t)
-        job.remaining -= 1
-        if job.remaining == 0:
+    for j, t, cand, svc in arrivals():
+        while heap and heap[0][0] <= t:
+            now, _, task = heap[0]
+            job, x, s = task
+            dq = queues[s]
+            if not dq or dq[0] is not task:  # purged in service; obsolete event
+                heappop(heap)
+                continue
+            if now < job.t + x - 1e-9:
+                raise AssertionError("task finished before its service demand")
+            dq.popleft()
+            if dq:
+                seq += 1
+                heapreplace(heap, (now + dq[0][1], seq, dq[0]))
+            else:
+                heappop(heap)
+            job.remaining -= 1
+            if job.remaining:
+                continue
             jobs_done += 1
             if job.idx >= warmup:
-                lat[job.idx - warmup] = t - job.t
-            for sib in job.tasks:  # purge the tasks still outstanding
-                if sib.done:
-                    continue
-                if current[sib.server] is sib:
-                    start_next(sib.server, t)
-                else:
-                    queues[sib.server].remove(sib)
+                lat[job.idx - warmup] = now - job.t
+            for sib in job.tasks:  # purge the tasks still outstanding (a done one is in no deque)
+                dq = queues[sib[2]]
+                if dq and dq[0] is sib:
+                    dq.popleft()
+                    if dq:
+                        seq += 1
+                        heappush(heap, (now + dq[0][1], seq, dq[0]))
+                elif sib in dq:
+                    dq.remove(sib)
             job.tasks = ()  # no job <-> task cycle: a finished job is freed without the GC
-
-    for j0, epochs, rows, service in _jobs(config):
-        probed = []
-        for j, t, cand, svc in zip(range(j0, total), epochs.tolist(), rows.tolist(),
-                                   service.tolist()):
-            while heap and heap[0][0] <= t:
-                complete(*heappop(heap))
-            q = [len(queues[s]) + (current[s] is not None) for s in cand]
-            probed += q
-            chosen = _choose(cand, q, group, picks)
-            job = _Job(t, j, needed)
-            tasks = []
-            for i in range(n_tasks):
-                s = chosen[i]
-                task = _Task(job, svc[i], s)
-                tasks.append(task)
-                if current[s] is None:
-                    current[s] = task
-                    seq += 1
-                    heappush(heap, (t + task.svc, seq, s, task))
-                else:
-                    queues[s].append(task)
+        if j == total:  # the last arrival only drains
+            break
+        q = [len(queues[s]) for s in cand]
+        probed += q
+        job = _Job(t, j, needed)
+        tasks = []
+        for x, s in zip(svc, _choose(cand, q, group, picks)):
+            task = (job, x, s)
+            tasks.append(task)
+            dq = queues[s]
+            if not dq:
+                seq += 1
+                heappush(heap, (t + x, seq, task))
+            dq.append(task)
+        if purging:
             job.tasks = tasks
-        counts = _tally(counts, probed[max(warmup - j0, 0) * fanout :])
-    while heap:
-        complete(*heappop(heap))
 
-    if any(c is not None for c in current):
+    if any(queues):
         raise AssertionError("a server still busy after the drain")
     if jobs_done != total:
         raise RuntimeError(f"only {jobs_done} of {total} jobs completed")

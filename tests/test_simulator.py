@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import deque
 from dataclasses import replace
@@ -278,6 +279,88 @@ def test_event_engine_invariants():
         config = _config(policy, service, lam=0.6, measured_jobs=4_000, engine="event")
         stats = run(config)
         assert stats.job_count == 4_000
+
+
+def _faulty_push(monkeypatch, fault, at):
+    """Make the event engine's ``at``-th ``heappush`` push ``fault(entry)``, or
+    nothing when that is None; an entry is (time, seq, (job, service, server))."""
+    real, pushes = simulator.heappush, itertools.count()
+
+    def push(heap, entry):
+        if next(pushes) == at:
+            entry = fault(entry)
+            if entry is None:
+                return
+        real(heap, entry)
+
+    monkeypatch.setattr(simulator, "heappush", push)
+
+
+_MUTATED = [(KSplit(k=2, d=2), Exponential(rate=2.0)),
+            (RedundantRequest(k=2, extra=2), Exponential(rate=2.0))]
+
+
+@pytest.mark.parametrize("policy,service", _MUTATED)
+def test_event_engine_catches_a_task_finished_early(monkeypatch, policy, service):
+    # the first completion is pushed for its job's arrival epoch, before its service ends
+    _faulty_push(monkeypatch, lambda e: (e[2][0].t, *e[1:]), at=0)
+    config = _config(policy, service, L=20, warmup_jobs=50, measured_jobs=200, engine="event")
+    with pytest.raises(AssertionError, match="task finished before its service demand"):
+        run(config)
+
+
+def test_event_engine_catches_a_lost_completion(monkeypatch):
+    # no purge can end the stranded task (every task is needed), so its server stays busy
+    _faulty_push(monkeypatch, lambda e: None, at=10)
+    config = _config(*_MUTATED[0], L=20, warmup_jobs=50, measured_jobs=200, engine="event")
+    with pytest.raises(AssertionError, match="a server still busy after the drain"):
+        run(config)
+
+
+@pytest.mark.parametrize("policy,service", _MUTATED)
+def test_event_engine_catches_a_job_never_done(monkeypatch, policy, service):
+    # job 5 waits for more completions than it has tasks; every server still drains
+    real = simulator._Job
+    monkeypatch.setattr(simulator, "_Job", lambda t, idx, remaining:
+                        real(t, idx, remaining + 100 * (idx == 5)))
+    config = _config(policy, service, L=20, warmup_jobs=50, measured_jobs=200, engine="event")
+    with pytest.raises(RuntimeError, match="only 249 of 250 jobs completed"):
+        run(config)
+
+
+@pytest.mark.parametrize(
+    "policy,service,lam",
+    [
+        *((RedundantRequest(k=4, extra=extra), Exponential(rate=4.0), lam)
+          for extra in (1, 2, 4) for lam in (0.01, 0.5)),
+        (BatchSampling(n=14, k=10), Exponential(rate=1.0), 0.85),
+        # siblings started together finish together, so many heap entries share a
+        # time and only their seq orders them: a seq that ``heapreplace`` reused
+        # would compare two tasks
+        (RedundantRequest(k=4, extra=4), Constant(value=0.25), 0.5),
+    ],
+)
+def test_engines_agree_on_the_benchmarked_shapes(policy, service, lam):
+    for warmup, measured in _CHUNK_EDGES:
+        config = _config(policy, service, lam=lam, L=2000, warmup_jobs=warmup,
+                         measured_jobs=measured, keep_samples=True)
+        fast = run(config)
+        event = run(replace(config, engine="event"))
+        assert fast == event, (warmup, measured)
+        assert np.array_equal(fast.samples, event.samples)
+
+
+@pytest.mark.parametrize("probed", [
+    [],
+    [0, 9, 3, 9, 12],  # lengths past the counts seen so far
+    np.random.default_rng(4).integers(0, 20, 1_536).tolist(),
+])
+def test_tally_adds_a_plain_bincount(probed):
+    counts = np.array([5, 0, 3, 1, 2, 0, 7, 1], dtype=np.int64)
+    expect = np.bincount(probed, minlength=counts.size)
+    expect[: counts.size] += counts
+    tally = simulator._tally(counts, probed)
+    assert tally.dtype == expect.dtype and np.array_equal(tally, expect)
 
 
 def test_probed_queue_lengths_count_only_live_tasks():
