@@ -25,10 +25,8 @@ import numpy as np
 
 from . import distributions as dists
 from .distributions import (
-    Pareto,
     ServiceDistribution,
     SubExpParams,
-    Weibull,
     canonical_family,
     chunk_dist,
     mgf,
@@ -314,10 +312,10 @@ def zero_load_latency(family: str, k: int, *, shift: float = 0.0, shape: float =
     """Expected slowest chunk of a k-way split of a unit-mean file hitting empty servers.
 
     Exponential: H(k)/k.  Shifted exponential: shift/k + H(k)(1-shift)/k.
-    Weibull and Pareto chunks: inclusion-exclusion over minima,
+    Weibull chunks: inclusion-exclusion over minima,
     E[max of k] = sum_{j=1..k} (-1)^(j+1) C(k, j) E[min of j], where the
     minimum of j draws stays in the family.  The alternating sum
-    cancels, so those two families take k <= 32.
+    cancels, so Weibull takes k <= 32.
     """
     fam = canonical_family(family)
     chunk = chunk_dist(fam, k, shift=shift, shape=shape)  # checks k, shift and shape
@@ -330,12 +328,8 @@ def zero_load_latency(family: str, k: int, *, shift: float = 0.0, shape: float =
         raise ValueError(f"{fam} zero-load latency needs k <= {_MAX_ALTERNATING_K}, got {k}")
     k = int(k)
     js = range(1, k + 1)
-    # E[min of j]: the min of j draws of Weibull(m, b) is Weibull(m, b j^(-1/m)),
-    # and of Pareto(a, x0) is Pareto(j a, x0)
-    if isinstance(chunk, Weibull):
-        mins = [dists.mean(chunk) * j ** (-1.0 / chunk.shape) for j in js]
-    else:
-        mins = [dists.mean(Pareto(j * chunk.exponent, chunk.minimum)) for j in js]
+    # E[min of j]: the min of j draws of Weibull(m, b) is Weibull(m, b j^(-1/m))
+    mins = [dists.mean(chunk) * j ** (-1.0 / chunk.shape) for j in js]
     return math.fsum((-1) ** (j + 1) * math.comb(k, j) * m for j, m in zip(js, mins))
 
 

@@ -42,6 +42,7 @@ from .simulator import (
 )
 
 _OUT_ENV = "CODEDLAT_OUT"
+_DIST_HELP = f"service family ({', '.join(dists.FAMILIES)})"
 
 
 # sweep flags: (flag, the config key it sets, help)
@@ -52,8 +53,8 @@ _SPEC_FLAGS = (
     ("--n", "code.n", "fanout list"),
     ("--k", "code.k", "split count list"),
     ("--d", "code.d", "choices / replicas list"),
-    ("--dist", "dist.family", "service family (exponential, shifted-exponential, weibull, pareto)"),
-    ("--shape", "dist.shape", "Weibull shape or Pareto tail exponent"),
+    ("--dist", "dist.family", _DIST_HELP),
+    ("--shape", "dist.shape", "Weibull shape"),
     ("--shift", "dist.shift", "shift of a unit-mean file, in [0, 1)"),
     ("--L", "sim.L", "server count"),
     ("--seed", "sim.seed", "base seed (default 0)"),
@@ -63,8 +64,7 @@ _SPEC_FLAGS = (
 
 
 def _add_dist_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dist", default="exponential",
-                        help="service family (exponential, shifted-exponential, weibull, pareto)")
+    parser.add_argument("--dist", default="exponential", help=_DIST_HELP)
     parser.add_argument("--shape", type=float, default=1.0, help="dist.shape")
     parser.add_argument("--shift", type=float, default=0.0, help="dist.shift")
 

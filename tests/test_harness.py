@@ -514,7 +514,6 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
         ["--experiment", "bound-check", "--k", "two", "--lambda", "0.5"],
         ["--experiment", "bound-check", "--k", "4", "--d", "3", "--L", "5", "--lambda", "0.5"],
         ["--experiment", "tail-check", "--k", "2", "--lambda", "0.005"],
-        ["--experiment", "residual-check", "--lambda", "0.5", "--dist", "pareto", "--shape", "1.5"],
         ["--experiment", "residual-check", "--lambda", "0.5", "--measured-jobs", "2000",
          "--out", str(blocker / "out.csv")],
         ["--experiment", "residual-check", "--lambda", "0.5", "--measured-jobs", "2000",
@@ -558,8 +557,8 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
      "--shape: family 'shifted-exponential' does not read it"),
     (["bound", "--k", "4", "--lambda", "0.9", "--dist", "exponential", "--shape", "2"],
      "--shape: family 'exponential' does not read it"),
-    (["bound", "--k", "4", "--lambda", "0.9", "--dist", "pareto", "--shape", "2.5", "--shift", "0.1"],
-     "--shift: family 'pareto' does not read it"),
+    (["bound", "--k", "4", "--lambda", "0.9", "--dist", "weibull", "--shape", "2.5", "--shift", "0.1"],
+     "--shift: family 'weibull' does not read it"),
     (["simulate", "--policy", "naive", "--k", "4", "--n", "9", "--extra", "3", "--lambda", "0.5"],
      "--k: policy 'naive' does not read it"),
     (["simulate", "--policy", "naive", "--extra", "3", "--lambda", "0.5"],
@@ -578,9 +577,21 @@ def test_cli_rejects_dist_flags_the_family_does_not_read(capsys, argv, message):
     assert capsys.readouterr().err.strip() == f"config error: {message}"
 
 
+@pytest.mark.parametrize("argv,prefix", [
+    (["simulate", "--policy", "ksplit", "--k", "2", "--lambda", "0.5"], ""),
+    (["bound", "--k", "4", "--lambda", "0.9"], ""),
+    (["sweep", "--experiment", "gain-sweep", "--k", "2", "--lambda", "0.5"],
+     "--dist: dist.family: "),
+], ids=["simulate", "bound", "sweep"])
+def test_cli_rejects_an_unknown_family_naming_the_accepted_ones(capsys, argv, prefix):
+    assert cli.main([*argv, "--dist", "pareto"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"config error: {prefix}unknown distribution family 'pareto' "
+        "(expected one of exponential, shifted-exponential, weibull)")
+
+
 @pytest.mark.parametrize("family,shift,shape", [
     ("exponential", 0.0, 1.0), ("shifted-exponential", 0.3, 1.0), ("weibull", 0.0, 0.7),
-    ("pareto", 0.0, 2.5),
 ])
 def test_dist_keys_the_family_reads_are_accepted(family, shift, shape):
     spec = harness.SweepSpec("residual-check", (0.5,), ((1, 1, 1),), family, shape=shape,

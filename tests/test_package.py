@@ -13,6 +13,7 @@ import pytest
 
 import codedlat
 from codedlat import cli, harness
+from codedlat import distributions as dists
 
 MODULES = ["codedlat"] + [f"codedlat.{info.name}" for info in pkgutil.iter_modules(codedlat.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,14 +104,14 @@ def test_weibull_runs_and_bounds_do_not_import_scipy():
 
 
 def test_mgfs_without_closed_form_do_not_import_scipy_integrate():
-    # the Weibull and Pareto MGFs are a numpy sum on log-space nodes, not scipy
-    # quadrature; no other scipy module loads either
+    # the Weibull MGF is a numpy sum on log-space nodes, not scipy quadrature, on the wide
+    # strip (shape >= 1) and the narrow one (shape < 1); no other scipy module loads either
     script = (
         "import sys\n"
         "from codedlat import bounds\n"
-        "from codedlat.distributions import Pareto, chunk_dist, mgf\n"
+        "from codedlat.distributions import chunk_dist, mgf\n"
         "bounds.m_k_bound(chunk_dist('weibull', 4, shape=1.5), 4)\n"
-        "mgf(Pareto(exponent=2.0, minimum=0.5), -1.0)\n"
+        "mgf(chunk_dist('weibull', 4, shape=0.7), -1.0)\n"
         "print('scipy.integrate' in sys.modules, 'scipy' in sys.modules)\n"
     )
     assert _run_fresh(script) == "False False"
@@ -139,6 +140,23 @@ def _unused_imports(path):
 def test_no_unused_imports():
     files = sorted((ROOT / "src" / "codedlat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+def test_no_isinstance_on_service_laws():
+    # each law carries its own methods, so Python dispatches on the type: distributions.py
+    # names no isinstance, and no module passes a law's class to it
+    laws = {law.__name__ for law in dists.ServiceDistribution.__args__}
+    hits = []
+    for path in sorted((ROOT / "src" / "codedlat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if path.name == "distributions.py" and getattr(node, "id", None) == "isinstance":
+                hits.append(f"{path.relative_to(ROOT)}:{node.lineno}: isinstance")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
+                hits += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in
+                         (getattr(t, "id", None) or getattr(t, "attr", None) for t in types)
+                         if name in laws]
+    assert hits == []
 
 
 def test_every_private_module_name_is_read():
