@@ -47,8 +47,7 @@ _DIST_HELP = f"service family ({', '.join(dists.FAMILIES)})"
 
 # sweep flags: (flag, the config key it sets, help)
 _SPEC_FLAGS = (
-    ("--experiment", "experiment",
-     "gain-sweep, bound-check, tail-check, batch-sampling or residual-check"),
+    ("--experiment", "experiment", ", ".join(harness._ROWS)),
     ("--lambda", "lambda.grid", "comma-separated loads"),
     ("--n", "code.n", "fanout list"),
     ("--k", "code.k", "split count list"),

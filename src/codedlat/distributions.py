@@ -8,11 +8,12 @@ log space for its moment generating function.  A degenerate
 
 Each law's dataclass holds its whole definition: sampler, raw moment,
 MGF domain, MGF, envelope and, for a named family, its names, the
-parameters it reads and its mean-1/k member.  The free functions
-``sample``, ``mean`` / ``moment``, ``mgf``, ``mgf_domain_sup`` and
-``subexp_params`` call into the law; ``chunk_dist`` builds one by family
-name.  Files have unit mean: ``chunk_dist(family, 1)`` is the file law
-and ``chunk_dist(family, k)`` the law of its mean-1/k chunks.  A file
+parameters it reads and its mean-1/k member.  The law's methods are
+private: the free functions ``sample``, ``mean`` / ``moment``, ``mgf``,
+``mgf_domain_sup`` and ``subexp_params`` check their arguments and call
+into the law, and ``chunk_dist`` builds one by family name.  Files
+have unit mean: ``chunk_dist(family, 1)`` is the file law and
+``chunk_dist(family, k)`` the law of its mean-1/k chunks.  A file
 D + Exp(1) is the unit-mean file with shift D/(1+D), run at load
 lam (1+D), with every latency scaled by 1+D.
 """
@@ -117,19 +118,19 @@ class Constant:
         if not self.value > 0:
             raise ValueError(f"value must be positive, got {self.value}")
 
-    def sample(self, rng, size):
+    def _sample(self, rng, size):
         return self.value if size is None else np.full(size, self.value)
 
-    def moment(self, n: int) -> float:
+    def _moment(self, n: int) -> float:
         return self.value**n
 
-    def mgf_domain_sup(self) -> float:
+    def _mgf_domain_sup(self) -> float:
         return math.inf
 
-    def mgf(self, s: float) -> float:
+    def _mgf(self, s: float) -> float:
         return math.exp(s * self.value)
 
-    def subexp_params(self) -> SubExpParams:
+    def _subexp_params(self) -> SubExpParams:
         return SubExpParams(tau_sq=0.0, b=0.0)
 
 
@@ -149,19 +150,19 @@ class Exponential:
     def chunk(cls, k: int, shift: float, shape: float) -> Exponential:
         return cls(rate=float(k))
 
-    def sample(self, rng, size):
+    def _sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
-    def moment(self, n: int) -> float:
+    def _moment(self, n: int) -> float:
         return math.factorial(n) / self.rate**n
 
-    def mgf_domain_sup(self) -> float:
+    def _mgf_domain_sup(self) -> float:
         return self.rate
 
-    def mgf(self, s: float) -> float:
+    def _mgf(self, s: float) -> float:
         return self.rate / (self.rate - s)
 
-    def subexp_params(self) -> SubExpParams:
+    def _subexp_params(self) -> SubExpParams:
         inv = 1.0 / self.rate
         return SubExpParams(tau_sq=inv * inv, b=inv)
 
@@ -187,23 +188,23 @@ class ShiftedExponential:
             raise ValueError(f"shift must lie in [0, 1) for unit mean, got {shift}")
         return cls(shift=shift / k, rate=k / (1.0 - shift))
 
-    def sample(self, rng, size):
+    def _sample(self, rng, size):
         return self.shift + rng.exponential(1.0 / self.rate, size)
 
-    def moment(self, n: int) -> float:
+    def _moment(self, n: int) -> float:
         # binomial expansion of (shift + Y)^n with Y exponential
         return sum(
             math.comb(n, i) * self.shift ** (n - i) * math.factorial(i) / self.rate**i
             for i in range(n + 1)
         )
 
-    def mgf_domain_sup(self) -> float:
+    def _mgf_domain_sup(self) -> float:
         return self.rate
 
-    def mgf(self, s: float) -> float:
+    def _mgf(self, s: float) -> float:
         return math.exp(s * self.shift) * self.rate / (self.rate - s)
 
-    def subexp_params(self) -> SubExpParams:
+    def _subexp_params(self) -> SubExpParams:
         inv = 1.0 / self.rate
         return SubExpParams(tau_sq=1.0 + inv * inv, b=inv)
 
@@ -226,6 +227,8 @@ class Weibull:
             raise ValueError(f"shape must be positive, got {self.shape}")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+        if math.isinf(self.shape) or math.isinf(self.scale):
+            raise ValueError(f"shape and scale must be finite, got {self.shape}, {self.scale}")
 
     @classmethod
     def chunk(cls, k: int, shift: float, shape: float) -> Weibull:
@@ -233,20 +236,20 @@ class Weibull:
             raise ValueError(f"Weibull shape must be positive, got {shape}")
         return cls(shape=shape, scale=1.0 / (k * _gamma(1.0 + 1.0 / shape)))
 
-    def sample(self, rng, size):
+    def _sample(self, rng, size):
         return self.scale * rng.weibull(self.shape, size)
 
-    def moment(self, n: int) -> float:
+    def _moment(self, n: int) -> float:
         return self.scale**n * _gamma(1.0 + n / self.shape)
 
-    def mgf_domain_sup(self) -> float:
+    def _mgf_domain_sup(self) -> float:
         if self.shape > 1.0:
             return math.inf
         if self.shape == 1.0:
             return 1.0 / self.scale
         return 0.0
 
-    def mgf(self, s: float) -> float:
+    def _mgf(self, s: float) -> float:
         m, b = self.shape, self.scale
         if s > 0 and m > 1.0:
             # stationary point of the exponent; guard astronomically large values
@@ -289,7 +292,7 @@ class Weibull:
         except OverflowError:
             return math.inf
 
-    def subexp_params(self) -> SubExpParams:
+    def _subexp_params(self) -> SubExpParams:
         m = self.shape
         if m < 1.0:
             raise ValueError(f"no sub-exponential envelope for Weibull shape {m} < 1")
@@ -305,14 +308,14 @@ def sample(dist: ServiceDistribution, rng: np.random.Generator, size=None):
 
     Identical (seed, call sequence) pairs yield identical draws.
     """
-    return dist.sample(rng, size)
+    return dist._sample(rng, size)
 
 
 def moment(dist: ServiceDistribution, order: int) -> float:
     """Raw moment E[X^order], in closed form for every family."""
     if order < 0 or order != int(order):
         raise ValueError(f"moment order must be a nonnegative integer, got {order}")
-    return dist.moment(int(order))
+    return dist._moment(int(order))
 
 
 def mean(dist: ServiceDistribution) -> float:
@@ -321,7 +324,7 @@ def mean(dist: ServiceDistribution) -> float:
 
 def mgf_domain_sup(dist: ServiceDistribution) -> float:
     """Supremum of s with E[exp(sX)] finite (``inf`` when unrestricted)."""
-    return dist.mgf_domain_sup()
+    return dist._mgf_domain_sup()
 
 
 def mgf(dist: ServiceDistribution, s: float) -> float:
@@ -335,7 +338,7 @@ def mgf(dist: ServiceDistribution, s: float) -> float:
         return 1.0
     if s >= mgf_domain_sup(dist):
         raise ValueError(f"MGF of {dist} diverges at s={s} >= {mgf_domain_sup(dist)}")
-    return dist.mgf(s)
+    return dist._mgf(s)
 
 
 def subexp_params(dist: ServiceDistribution) -> SubExpParams:
@@ -352,7 +355,7 @@ def subexp_params(dist: ServiceDistribution) -> SubExpParams:
     shape 1 has no envelope and raises.  Constant is the degenerate
     (0, 0) envelope.
     """
-    return dist.subexp_params()
+    return dist._subexp_params()
 
 
 # every accepted family name -> its law; the law's first name is canonical, its ``reads``

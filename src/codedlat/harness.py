@@ -36,10 +36,11 @@ of :data:`PRESETS` (every key its kind reads but ``sim.seed`` and
 ``sim.seed``, ``sim.warmup_jobs``, ``sim.measured_jobs``,
 ``out.path``; a kind rejects the keys it never reads (``_UNREAD``:
 residual-check ``code.*`` and ``sim.L``, batch-sampling ``code.d``).
-``code.*`` accept comma-separated aligned lists (scalars broadcast);
-``dist.*`` default to exponential, shape 1, shift 0 and ``sim.seed`` to
-0.  Omitted ``sim.*`` keys stay ``None`` up to the one function that
-owns each default: ``ClusterConfig`` (L = max(2000, 200 * k), warmup =
+``code.*`` accept comma-separated aligned lists (scalars broadcast).
+An omitted key takes :class:`SweepSpec`'s field default on every path:
+exponential, shape 1, shift 0, ``sim.seed`` 0, and ``None`` for
+``out.path`` and ``sim.*``, up to the one function that owns each
+budget: ``ClusterConfig`` (L = max(2000, 200 * k), warmup =
 20 * L jobs, 1,000,000 // k measured jobs), ``gain_arms`` (20,000
 measured jobs per arm) and ``empirical_residual`` (residual-check:
 180,000 measured arrivals after 20,000).
@@ -104,8 +105,11 @@ class SweepSpec:
 
     ``codes`` holds (n, k, d) triples.  For the queue-based kinds the
     fanout satisfies n = d * k; batch-sampling reads only (n, k), k < n < 2k
-    (:func:`build_spec` rejects a ``code.d``).  ``L``, ``warmup_jobs`` and
-    ``measured_jobs`` of ``None`` take the defaults in the module docstring.
+    (:func:`build_spec` rejects a ``code.d``); residual-check takes
+    ``((1, 1, 1),)`` and no ``L``.  The field defaults are the defaults on
+    every path: :func:`build_spec` passes on only the keys that were set.
+    ``L``, ``warmup_jobs`` and ``measured_jobs`` of ``None`` take the
+    defaults in the module docstring.
     """
 
     experiment: str
@@ -142,18 +146,19 @@ class SweepSpec:
         if unread:
             raise ConfigError(f"dist.{unread} has no effect on family '{fam}'",
                               ("dist.family", f"dist.{unread}"))
-        for n, k, d in self.codes:
-            self._check_code(n, k, d)
+        if self.experiment == "residual-check":
+            if self.codes != ((1, 1, 1),) or self.L is not None:
+                raise ConfigError("residual-check reads no code.* or sim.L", (*_CODE, "sim.L"))
+        else:
+            for code in self.codes:
+                self._check_code(*code)
         if self.experiment in ("tail-check", "batch-sampling") and fam != "exponential":
             raise ConfigError(f"dist.family '{fam}' unsupported for {self.experiment}",
                               ("experiment", "dist.family"))
         if self.experiment == "tail-check" and min(self.lam_grid) <= _TAIL_EPSILON:
             raise ConfigError(f"tail-check needs every lambda above the tail budget {_TAIL_EPSILON}",
                               ("experiment", "lambda.grid"))
-        try:  # the service laws, and the envelopes and moments the bounds use, exist up front
-            full = dists.chunk_dist(fam, 1, shift=self.shift, shape=self.shape)
-            if self.experiment == "residual-check":
-                bounds.residual_moment(full)
+        try:  # the service laws, and the envelopes the bounds use, exist up front
             for k in sorted({k for _, k, _ in self.codes}):
                 chunk = dists.chunk_dist(fam, max(k, 1), shift=self.shift, shape=self.shape)
                 if self.experiment in ("gain-sweep", "bound-check") and fam != "exponential":
@@ -174,8 +179,6 @@ class SweepSpec:
 
     def _check_code(self, n: int, k: int, d: int) -> None:
         kind = self.experiment
-        if kind == "residual-check":
-            return
         code = f"code ({n},{k})" if kind == "batch-sampling" else f"code ({n},{k},{d})"
         if self.L is not None and self.L < n:
             raise ConfigError(f"{code}: sim.L = {self.L} servers cannot host fanout {n}",
@@ -237,11 +240,14 @@ CSV_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
 # ---------------------------------------------------------------------------
 # config parsing
 
-_CONFIG_KEYS = (
-    "experiment", "lambda.grid", "code.n", "code.k", "code.d",
-    "dist.family", "dist.shape", "dist.shift",
-    "sim.L", "sim.seed", "sim.warmup_jobs", "sim.measured_jobs", "out.path",
-)
+# every config key but the lists lambda.grid and code.* -> (the SweepSpec field it sets, its type)
+_SCALARS = {
+    "experiment": ("experiment", str), "dist.family": ("family", str),
+    "dist.shape": ("shape", float), "dist.shift": ("shift", float), "sim.L": ("L", int),
+    "sim.seed": ("seed", int), "sim.warmup_jobs": ("warmup_jobs", int),
+    "sim.measured_jobs": ("measured_jobs", int), "out.path": ("out_path", str),
+}
+_CONFIG_KEYS = ("lambda.grid", *_CODE, *_SCALARS)
 
 # the keys each experiment kind never reads; setting one is a configuration error
 _UNREAD = {"residual-check": (*_CODE, "sim.L"), "batch-sampling": ("code.d",)}
@@ -262,7 +268,8 @@ def build_spec(entries: Iterable[tuple[str, str, str]]) -> SweepSpec:
     "--flag") in errors; a range error names every entry that set a key
     its check read.  Each key may be set once across all entries, so a
     flag that repeats a file's or a preset's key is a duplicate like a
-    repeated line.  Omitted keys take the module docstring's defaults.
+    repeated line.  An omitted key is not passed on, so it takes the
+    field default of :class:`SweepSpec`.
     """
     seen: dict[str, tuple[str, str]] = {}
     for key, where, raw in entries:
@@ -272,33 +279,22 @@ def build_spec(entries: Iterable[tuple[str, str, str]]) -> SweepSpec:
             raise ConfigError(f"{where}: duplicate key '{key}' (first set on {seen[key][0]})")
         seen[key] = (where, raw)
 
-    def scalar(key: str, kind: type, default):
-        return _parse(key, *seen[key], kind) if key in seen else default
-
     def values(key: str, kind: type) -> list:
         where, raw = seen.get(key, ("", ""))
         return [_parse(key, where, p, kind) for chunk in raw.split(",") for p in chunk.split()]
 
-    experiment = scalar("experiment", str, None)
-    if experiment is None:
+    if "experiment" not in seen:
         raise ConfigError("missing key 'experiment'")
+    experiment = seen["experiment"][1]
     for key in _UNREAD.get(experiment, ()):
         if key in seen:
             raise ConfigError(f"{seen[key][0]}: {key} has no effect on {experiment}")
     try:
         return SweepSpec(
-            experiment=experiment,
             lam_grid=tuple(values("lambda.grid", float)),
-            codes=_align_codes(experiment, values("code.n", int), values("code.k", int),
-                               values("code.d", int)),
-            family=scalar("dist.family", str, "exponential"),
-            shape=scalar("dist.shape", float, 1.0),
-            shift=scalar("dist.shift", float, 0.0),
-            L=scalar("sim.L", int, None),
-            seed=scalar("sim.seed", int, 0),
-            warmup_jobs=scalar("sim.warmup_jobs", int, None),
-            measured_jobs=scalar("sim.measured_jobs", int, None),
-            out_path=scalar("out.path", str, None),
+            codes=_align_codes(experiment, *(values(key, int) for key in _CODE)),
+            **{field: _parse(key, *seen[key], kind)
+               for key, (field, kind) in _SCALARS.items() if key in seen},
         )
     except ConfigError as exc:
         where = ", ".join(dict.fromkeys(seen[key][0] for key in exc.keys if key in seen))
@@ -389,35 +385,35 @@ def _point_configs(spec: SweepSpec, code, lam: float, seed: int) -> tuple[Cluste
     return (ClusterConfig(lam, policy, service, keep_samples=kind == "tail-check", **common),)
 
 
+def _row(spec: SweepSpec, code, lam: float, seed: int, *result, d: float | None = None,
+         t: float | None = None, **aux) -> ComparisonRow:
+    """The row of one grid point; ``result`` is (sim_mean, sim_se, theory, branch, passed)."""
+    n, k, code_d = code
+    return ComparisonRow(spec.experiment, spec.family, spec.shape, spec.shift, n, k,
+                         float(code_d if d is None else d), lam, t, seed, *result, **aux)
+
+
 def _gain_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
-    n, k, d = code
+    _, k, d = code
     sim = GainResult.of(*stats)
     theory = bounds.theoretical_gain(d, k, lam, spec.family, shift=spec.shift, shape=spec.shape)
     passed = sim.gain > 0.0 and sim.gain >= theory.value - 3.0 * sim.std_err
-    return [ComparisonRow(
-        spec.experiment, spec.family, spec.shape, spec.shift,
-        n, k, float(d), lam, None, seed,
-        sim.gain, sim.std_err, theory.value, theory.branch, passed,
-        aux_a=sim.replicated.mean, aux_b=sim.split.mean,
-    )]
+    return [_row(spec, code, lam, seed, sim.gain, sim.std_err, theory.value, theory.branch, passed,
+                 aux_a=sim.replicated.mean, aux_b=sim.split.mean)]
 
 
 def _bound_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
-    n, k, d = code
     (stats,) = stats
-    report = bounds.mean_latency_bound(spec.family, k, lam, shift=spec.shift, shape=spec.shape,
-                                       strict=False)
+    report = bounds.mean_latency_bound(spec.family, code[1], lam, shift=spec.shift,
+                                       shape=spec.shape, strict=False)
     passed = stats.mean <= report.value + 3.0 * stats.std_err
-    return [ComparisonRow(
-        spec.experiment, spec.family, spec.shape, spec.shift,
-        n, k, float(d), lam, None, seed,
-        stats.mean, stats.std_err, report.value, report.branch, passed,
-        aux_a=report.auxiliary.get("residual_max"), aux_b=report.auxiliary.get("phi"),
-    )]
+    return [_row(spec, code, lam, seed, stats.mean, stats.std_err, report.value, report.branch,
+                 passed, aux_a=report.auxiliary.get("residual_max"),
+                 aux_b=report.auxiliary.get("phi"))]
 
 
 def _tail_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
-    n, k, d = code
+    k = code[1]
     samples = stats[0].samples
     assert samples is not None
     # the thresholds run from the bound's anchor r/k, which any of its reports carries
@@ -427,11 +423,8 @@ def _tail_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[Comp
         p_hat = float(np.mean(samples > t))
         se = math.sqrt(p_hat * (1.0 - p_hat) / len(samples))
         bound = bounds.tail_latency_bound(k, lam, _TAIL_EPSILON, t)
-        rows.append(ComparisonRow(
-            spec.experiment, spec.family, spec.shape, spec.shift,
-            n, k, float(d), lam, t, seed,
-            p_hat, se, bound.value, bound.branch, p_hat <= bound.value + 3.0 * se,
-        ))
+        rows.append(_row(spec, code, lam, seed, p_hat, se, bound.value, bound.branch,
+                         p_hat <= bound.value + 3.0 * se, t=t))
     return rows
 
 
@@ -446,26 +439,16 @@ def _batch_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[Com
     passed = (stats.mean <= tight.value + tol
               and tight.value + tol <= loose.value
               and stats.mean <= moment.value)
-    return [ComparisonRow(
-        spec.experiment, spec.family, spec.shape, spec.shift,
-        n, k, ratio, lam, None, seed,
-        stats.mean, stats.std_err, tight.value, tight.branch, passed,
-        aux_a=loose.value, aux_b=moment.value,
-    )]
+    return [_row(spec, code, lam, seed, stats.mean, stats.std_err, tight.value, tight.branch,
+                 passed, d=ratio, aux_a=loose.value, aux_b=moment.value)]
 
 
 def _residual_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
-    n, k, d = code
     service = dists.chunk_dist(spec.family, 1, shift=spec.shift, shape=spec.shape)
     sim = empirical_residual(service, lam, seed=seed, warmup_jobs=spec.warmup_jobs,
                              measured_jobs=spec.measured_jobs)
     theory = bounds.residual_moment(service)
-    passed = abs(sim - theory) <= 0.02 * theory
-    return [ComparisonRow(
-        spec.experiment, spec.family, spec.shape, spec.shift,
-        n, k, float(d), lam, None, seed,
-        sim, 0.0, theory, "", passed,
-    )]
+    return [_row(spec, code, lam, seed, sim, 0.0, theory, "", abs(sim - theory) <= 0.02 * theory)]
 
 
 # the experiment kinds, each with the builder of a point's rows from its simulations' statistics

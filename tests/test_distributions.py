@@ -229,3 +229,21 @@ def test_validation():
             chunk_dist("weibull", 4, shape=shape)
     with pytest.raises(ValueError):
         Constant(value=0.0)
+
+
+def test_weibull_rejects_an_infinite_parameter():
+    # an infinite shape would reach Gamma(2/shape) = Gamma(0) in the envelope
+    for shape, scale in ((math.inf, 1.0), (1.5, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            Weibull(shape=shape, scale=scale)
+    with pytest.raises(ValueError, match="must be finite"):
+        chunk_dist("weibull", 4, shape=math.inf)
+
+
+@pytest.mark.parametrize("law", [Constant(1.0), Exponential(2.0), ShiftedExponential(0.1, 2.0),
+                                 Weibull(1.5, 1.0)], ids=lambda law: type(law).__name__)
+def test_a_law_exposes_no_unchecked_method(law):
+    # the checked free functions are the one public surface: a law's own MGF skips the
+    # domain check, so Exponential(2.0)'s would read -2.0 at s = 3 where mgf(...) raises
+    for name in ("sample", "moment", "mgf_domain_sup", "mgf", "subexp_params"):
+        assert not hasattr(law, name), name

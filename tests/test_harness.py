@@ -2,7 +2,7 @@ import itertools
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -692,3 +692,76 @@ def test_every_key_changes_the_rows_or_is_rejected(kind):
         except harness.ConfigError:
             continue
         assert got != want, key
+
+
+# One small sweep per kind at seed 0, rendered byte for byte.  A change that moves a
+# number updates this text next to the pass table that the roadmap's rules for numbers ask
+# for in CHANGES.md; a change that moves none leaves it as it is.
+PINNED_CSV = {
+    "batch-sampling": """\
+experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
+batch-sampling,exponential,1,0,5,4,1.25,0.5,,8668861027912758289,2.80891706,0.0895471093,4.13738632,BoundI-tight,1,4.83333333,5.5585888
+""",
+    "bound-check": """\
+experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
+bound-check,exponential,1,0,4,2,2,0.5,,8668861027912758289,0.951039394,0.0392086865,1.25564718,Phi3,1,,
+""",
+    "gain-sweep": """\
+experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
+gain-sweep,exponential,1,0,4,2,2,0.5,,8668861027912758289,0.364660091,0.0828367296,-0.939225672,Phi3,1,1.28100256,0.916342466
+""",
+    "residual-check": """\
+experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
+residual-check,exponential,1,0,1,1,1,0.5,,8668861027912758289,1.19123173,0,1,,0,,
+""",
+    "tail-check": """\
+experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
+tail-check,exponential,1,0,4,2,2,0.5,0.967150318,8668861027912758289,0.403333333,0.0283228739,1,Gauss,1,,
+tail-check,exponential,1,0,4,2,2,0.5,1.45072548,8668861027912758289,0.206666667,0.0233777355,1,Gauss,1,,
+tail-check,exponential,1,0,4,2,2,0.5,1.93430064,8668861027912758289,0.08,0.0156631202,0.77032969,Gauss,1,,
+tail-check,exponential,1,0,4,2,2,0.5,2.41787579,8668861027912758289,0.04,0.0113137085,0.478800349,Exp,1,,
+tail-check,exponential,1,0,4,2,2,0.5,2.90145095,8668861027912758289,0.0166666667,0.00739118594,0.299050619,Exp,1,,
+tail-check,exponential,1,0,4,2,2,0.5,3.38502611,8668861027912758289,0.00666666667,0.00469830545,0.188221412,Exp,1,,
+tail-check,exponential,1,0,4,2,2,0.5,3.86860127,8668861027912758289,0.00333333333,0.00332777314,0.119886884,Exp,1,,
+tail-check,exponential,1,0,4,2,2,0.5,4.35217643,8668861027912758289,0,0,0.0777535154,Exp,1,,
+tail-check,exponential,1,0,4,2,2,0.5,4.83575159,8668861027912758289,0,0,0.0517751301,Exp,1,,
+tail-check,exponential,1,0,4,2,2,0.5,5.31932675,8668861027912758289,0,0,0.0357575047,Exp,1,,
+tail-check,exponential,1,0,4,2,2,0.5,5.80290191,8668861027912758289,0,0,0.0258814358,Exp,1,,
+""",
+}
+
+
+def test_one_small_sweep_per_kind_renders_its_pinned_csv():
+    assert set(PINNED_CSV) == set(harness._ROWS)
+    for kind, csv in PINNED_CSV.items():
+        entries = {"experiment": kind, "lambda.grid": "0.5", **KIND_ENTRIES[kind],
+                   "sim.seed": "0", "sim.warmup_jobs": "200", "sim.measured_jobs": "300"}
+        spec = harness.build_spec([(key, f"--{key}", raw) for key, raw in entries.items()])
+        assert harness.render_csv(harness.run_sweep(spec)) == csv, kind
+
+
+@pytest.mark.parametrize("codes,L", [(((4, 2, 2),), None), (((1, 1, 1),), 500),
+                                     (((1, 1, 1), (2, 1, 2)), None)])
+def test_a_direct_residual_spec_rejects_a_code_or_server_count(codes, L):
+    with pytest.raises(harness.ConfigError, match="residual-check reads no code"):
+        harness.SweepSpec("residual-check", (0.5,), codes, L=L)
+
+
+def test_a_built_spec_passes_only_the_keys_that_were_set():
+    built = harness.build_spec([("experiment", "--experiment", "bound-check"),
+                                ("lambda.grid", "--lambda", "0.5"), ("code.k", "--k", "2")])
+    assert built == harness.SweepSpec("bound-check", (0.5,), ((4, 2, 2),))
+    assert set(harness._CONFIG_KEYS) == {"lambda.grid", *harness._CODE, *harness._SCALARS}
+    spec_fields = {f.name for f in fields(harness.SweepSpec)}
+    assert {field for field, _ in harness._SCALARS.values()} == spec_fields - {"lam_grid", "codes"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--policy", "ksplit", "--k", "4", "--lambda", "0.5", "--L", "100"],
+    ["bound", "--k", "4", "--lambda", "0.5"],
+    ["sweep", "--experiment", "bound-check", "--k", "4", "--lambda", "0.5"],
+], ids=["simulate", "bound", "sweep"])
+def test_cli_infinite_weibull_shape_exits_2(capsys, argv):
+    assert cli.main([*argv, "--dist", "weibull", "--shape", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "must be finite" in err
