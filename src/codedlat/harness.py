@@ -35,15 +35,17 @@ of :data:`PRESETS` (every key its kind reads but ``sim.seed`` and
 ``dist.family``, ``dist.shape``, ``dist.shift``, ``sim.L``,
 ``sim.seed``, ``sim.warmup_jobs``, ``sim.measured_jobs``,
 ``out.path``; a kind rejects the keys it never reads (``_UNREAD``:
-residual-check ``code.*`` and ``sim.L``, batch-sampling ``code.d``).
+residual-check ``code.*`` and ``sim.L``, batch-sampling ``code.d``)
+and fills the code fields among them with 1.
 ``code.*`` accept comma-separated aligned lists (scalars broadcast).
 An omitted key takes :class:`SweepSpec`'s field default on every path:
 exponential, shape 1, shift 0, ``sim.seed`` 0, and ``None`` for
 ``out.path`` and ``sim.*``, up to the one function that owns each
-budget: ``ClusterConfig`` (L = max(2000, 200 * k), warmup =
-20 * L jobs, 1,000,000 // k measured jobs), ``gain_arms`` (20,000
-measured jobs per arm) and ``empirical_residual`` (residual-check:
-180,000 measured arrivals after 20,000).
+budget: the simulator's ``ClusterConfig`` (L = max(2000, 200 * k),
+warmup = 20 * L jobs, 1,000,000 // k measured jobs), this module's
+:func:`gain_arms` (20,000 measured jobs per arm) and the simulator's
+``empirical_residual`` (residual-check: 180,000 measured arrivals
+after 20,000).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,10 +63,10 @@ from . import distributions as dists
 from .simulator import (
     BatchSampling,
     ClusterConfig,
-    GainResult,
     KSplit,
+    LeastKOfN,
+    NaiveReplication,
     empirical_residual,
-    gain_arms,
     run_many,
 )
 
@@ -76,6 +78,7 @@ __all__ = [
     "SweepSpec",
     "build_spec",
     "config_entries",
+    "gain_arms",
     "preset_entries",
     "run_sweep",
     "write_csv",
@@ -104,10 +107,10 @@ class SweepSpec:
     """One sweep: experiment kind, coordinate grids, and budget overrides.
 
     ``codes`` holds (n, k, d) triples.  For the queue-based kinds the
-    fanout satisfies n = d * k; batch-sampling reads only (n, k), k < n < 2k
-    (:func:`build_spec` rejects a ``code.d``); residual-check takes
-    ``((1, 1, 1),)`` and no ``L``.  The field defaults are the defaults on
-    every path: :func:`build_spec` passes on only the keys that were set.
+    fanout satisfies n = d * k; batch-sampling reads only (n, k), k < n < 2k,
+    and takes d = 1; residual-check takes ``((1, 1, 1),)`` and no ``L``.
+    The field defaults are the defaults on every path: :func:`build_spec`
+    passes on only the keys that were set.
     ``L``, ``warmup_jobs`` and ``measured_jobs`` of ``None`` take the
     defaults in the module docstring.
     """
@@ -184,6 +187,8 @@ class SweepSpec:
             raise ConfigError(f"{code}: sim.L = {self.L} servers cannot host fanout {n}",
                               ("sim.L", *_CODE))
         if kind == "batch-sampling":
+            if d != 1:
+                raise ConfigError("code.d has no effect on batch-sampling", ("code.d",))
             if not k < n < 2 * k:
                 raise ConfigError(f"{code}: batch sampling needs k < n < 2k", _CODE)
             for lam in self.lam_grid:
@@ -323,16 +328,15 @@ def config_entries(path: str | os.PathLike) -> list[tuple[str, str, str]]:
 def _align_codes(
     experiment: str, ns: Sequence[int], ks: Sequence[int], ds: Sequence[int]
 ) -> tuple[tuple[int, int, int], ...]:
-    """Zip code.n/code.k/code.d lists, broadcasting scalars and filling gaps."""
-    if experiment == "residual-check":
-        return ((1, 1, 1),)
-    if not ks:
+    """Zip code.n/code.k/code.d lists, broadcasting scalars and filling gaps (unread fields: 1)."""
+    unread = _UNREAD.get(experiment, ())
+    if not ks and "code.k" not in unread:
         raise ConfigError("missing key 'code.k'")
-    width = max(len(ns), len(ks), len(ds))
+    width = max(len(ns), len(ks), len(ds), 1)
 
     def broadcast(name: str, vals: Sequence[int]) -> list[int | None]:
         if not vals:
-            return [None] * width
+            return [1 if name in unread else None] * width
         if len(vals) == 1:
             return list(vals) * width
         if len(vals) != width:
@@ -367,6 +371,33 @@ def _point_seed(base: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def gain_arms(
+    k: int,
+    d: int,
+    lam: float,
+    family: str = "exponential",
+    seed: int = 0,
+    *,
+    shift: float = 0.0,
+    shape: float = 1.0,
+    L: int | None = None,
+    warmup_jobs: int | None = None,
+    measured_jobs: int | None = None,
+) -> tuple[ClusterConfig, ClusterConfig]:
+    """The (replicated, split) configs of a k-way split against d-choice dispatch.
+
+    Both arms run on the same seed (shared arrival epochs) and cluster
+    size and measure ``measured_jobs`` jobs (20,000 when None); the
+    replicated arm serves unit-mean whole files via ``NaiveReplication(d)``,
+    the split arm mean-1/k chunks via ``LeastKOfN(d*k, k)``.
+    """
+    chunk = dists.chunk_dist(family, k, shift=shift, shape=shape)
+    split = ClusterConfig(lam, LeastKOfN(d * k, k), chunk, L=L, seed=seed, warmup_jobs=warmup_jobs,
+                          measured_jobs=20_000 if measured_jobs is None else measured_jobs)
+    full = dists.chunk_dist(family, 1, shift=shift, shape=shape)
+    return replace(split, policy=NaiveReplication(d), service=full), split
+
+
 def _point_configs(spec: SweepSpec, code, lam: float, seed: int) -> tuple[ClusterConfig, ...]:
     """The simulations of one grid point: both arms of a gain point, one run otherwise."""
     n, k, d = code
@@ -395,11 +426,14 @@ def _row(spec: SweepSpec, code, lam: float, seed: int, *result, d: float | None 
 
 def _gain_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:
     _, k, d = code
-    sim = GainResult.of(*stats)
+    replicated, split = stats
+    # the arms share only arrival epochs, so their SEs add in quadrature
+    gain = replicated.mean - split.mean
+    se = math.hypot(replicated.std_err, split.std_err)
     theory = bounds.theoretical_gain(d, k, lam, spec.family, shift=spec.shift, shape=spec.shape)
-    passed = sim.gain > 0.0 and sim.gain >= theory.value - 3.0 * sim.std_err
-    return [_row(spec, code, lam, seed, sim.gain, sim.std_err, theory.value, theory.branch, passed,
-                 aux_a=sim.replicated.mean, aux_b=sim.split.mean)]
+    passed = gain > 0.0 and gain >= theory.value - 3.0 * se
+    return [_row(spec, code, lam, seed, gain, se, theory.value, theory.branch, passed,
+                 aux_a=replicated.mean, aux_b=split.mean)]
 
 
 def _bound_rows(spec: SweepSpec, code, lam: float, seed: int, stats) -> list[ComparisonRow]:

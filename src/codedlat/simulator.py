@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
 from typing import NamedTuple, Sequence
 
@@ -53,11 +53,8 @@ __all__ = [
     "Policy",
     "ClusterConfig",
     "LatencyStats",
-    "GainResult",
     "run",
     "run_many",
-    "gain_arms",
-    "gain_experiment",
     "empirical_residual",
 ]
 
@@ -262,22 +259,6 @@ class LatencyStats:
     queue_ccdf: tuple[tuple[int, float], ...]
     job_count: int
     samples: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class GainResult:
-    """Simulated latency gain of a split arm over a replicated arm."""
-
-    gain: float
-    std_err: float
-    replicated: LatencyStats
-    split: LatencyStats
-
-    @classmethod
-    def of(cls, replicated: LatencyStats, split: LatencyStats) -> GainResult:
-        """Replicated minus split mean; the standard errors add in quadrature."""
-        return cls(replicated.mean - split.mean, math.hypot(replicated.std_err, split.std_err),
-                   replicated, split)
 
 
 # ---------------------------------------------------------------------------
@@ -726,43 +707,6 @@ def run_many(configs: Sequence[ClusterConfig]) -> list[LatencyStats]:
         if len(idx) >= _LOCKSTEP_MIN_LANES:
             out.update(zip(idx, _run_lanes([configs[i] for i in idx])))
     return [out[i] if i in out else run(config) for i, config in enumerate(configs)]
-
-
-def gain_arms(
-    k: int,
-    d: int,
-    lam: float,
-    family: str = "exponential",
-    seed: int = 0,
-    *,
-    shift: float = 0.0,
-    shape: float = 1.0,
-    L: int | None = None,
-    warmup_jobs: int | None = None,
-    measured_jobs: int | None = None,
-) -> tuple[ClusterConfig, ClusterConfig]:
-    """The (replicated, split) configs of a k-way split against d-choice dispatch.
-
-    Both arms run on the same seed (shared arrival epochs) and cluster
-    size and measure ``measured_jobs`` jobs (20,000 when None); the
-    replicated arm serves unit-mean whole files via ``NaiveReplication(d)``,
-    the split arm mean-1/k chunks via ``LeastKOfN(d*k, k)``.
-    """
-    chunk = dists.chunk_dist(family, k, shift=shift, shape=shape)
-    split = ClusterConfig(lam, LeastKOfN(d * k, k), chunk, L=L, seed=seed, warmup_jobs=warmup_jobs,
-                          measured_jobs=20_000 if measured_jobs is None else measured_jobs)
-    full = dists.chunk_dist(family, 1, shift=shift, shape=shape)
-    return replace(split, policy=NaiveReplication(d), service=full), split
-
-
-def gain_experiment(k: int, d: int, lam: float, family: str = "exponential", seed: int = 0,
-                    **options) -> GainResult:
-    """Simulated gain of a k-way split over d-choice whole-file dispatch.
-
-    Runs the two ``gain_arms`` (same keyword options).  At k = 1 the
-    arms coincide and the gain is exactly zero.
-    """
-    return GainResult.of(*run_many(gain_arms(k, d, lam, family, seed, **options)))
 
 
 def empirical_residual(

@@ -212,7 +212,7 @@ def test_presets_cover_the_advertised_grid():
         assert (spec.family, spec.shift, spec.shape) == (family, shift, shape)
     fig5 = harness.build_spec(harness.preset_entries("fig5"))
     assert fig5.experiment == "batch-sampling"
-    assert fig5.codes == ((14, 10, 2),)
+    assert fig5.codes == ((14, 10, 1),)  # batch-sampling never reads code.d
     assert fig5.lam_grid == (0.8, 0.85, 0.9)
     assert fig5.L == 2000
     with pytest.raises(harness.ConfigError):
@@ -468,10 +468,13 @@ def test_cli_sweep_prints_fail_lines_but_exits_0(tmp_path, capsys, monkeypatch):
         "bound-check", "exponential", 1.0, 0.0, 8, 4, 2.0, 0.9, None, 0,
         sim_mean=1.5, sim_se=0.01, theory=1.2, branch="Phi3", passed=False,
     )
-    monkeypatch.setattr(harness, "run_sweep", lambda spec, workers=None: [failed])
+    tail = replace(failed, experiment="tail-check", t=1.5)
+    monkeypatch.setattr(harness, "run_sweep", lambda spec, workers=None: [failed, tail])
     cfg = write(tmp_path, "experiment = bound-check\nlambda.grid = 0.9\ncode.k = 4\n")
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "fail.csv")]) == 0
-    assert "FAIL bound-check exponential n=8 k=4 d=2 lam=0.9" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL bound-check exponential n=8 k=4 d=2 lam=0.9: " in out
+    assert "FAIL tail-check exponential n=8 k=4 d=2 lam=0.9 t=1.5: " in out
 
 
 def test_cli_dist_help_lists_only_accepted_families(capsys):
@@ -501,6 +504,25 @@ def test_cli_simulate_smoke(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "mean =" in out and "jobs = 2000" in out
+
+
+@pytest.mark.parametrize("argv", [["--policy", "batch", "--n", "5", "--k", "4"],
+                                  ["--policy", "redundant", "--k", "2"]],
+                         ids=["batch", "redundant"])
+def test_cli_simulate_batch_and_redundant(capsys, argv):
+    assert cli.main(["simulate", *argv, "--lambda", "0.5", "--L", "60", "--warmup-jobs", "100",
+                     "--measured-jobs", "200"]) == 0
+    assert "jobs = 200" in capsys.readouterr().out
+
+
+def test_cli_config_out_path_places_the_csv_without_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CODEDLAT_OUT", str(tmp_path / "env"))
+    cfg = write(tmp_path, "experiment = residual-check\nlambda.grid = 0.5\n"
+                          "sim.measured_jobs = 2000\nout.path = rows.csv\n")
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    assert "-> rows.csv" in capsys.readouterr().out
+    assert (tmp_path / "rows.csv").exists() and not (tmp_path / "env").exists()
 
 
 def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
@@ -571,6 +593,9 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
      "--d: policy 'least' does not read it"),
     (["simulate", "--policy", "redundant", "--k", "2", "--d", "3", "--lambda", "0.5"],
      "--d: policy 'redundant' does not read it"),
+    (["simulate", "--policy", "ksplit", "--lambda", "0.5"], "--policy ksplit requires --k"),
+    (["bound", "--k", "4", "--lambda", "0.9", "--epsilon", "0.01"],
+     "tail bound needs both --epsilon and --t"),
 ])
 def test_cli_rejects_dist_flags_the_family_does_not_read(capsys, argv, message):
     assert cli.main(argv) == 2
@@ -745,6 +770,13 @@ def test_one_small_sweep_per_kind_renders_its_pinned_csv():
 def test_a_direct_residual_spec_rejects_a_code_or_server_count(codes, L):
     with pytest.raises(harness.ConfigError, match="residual-check reads no code"):
         harness.SweepSpec("residual-check", (0.5,), codes, L=L)
+
+
+@pytest.mark.parametrize("d", [2, 7])
+def test_a_direct_batch_spec_rejects_a_code_d(d):
+    with pytest.raises(harness.ConfigError, match="code.d has no effect on batch-sampling") as err:
+        harness.SweepSpec("batch-sampling", (0.5,), ((5, 4, d),), L=60)
+    assert err.value.keys == ("code.d",)
 
 
 def test_a_built_spec_passes_only_the_keys_that_were_set():

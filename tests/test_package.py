@@ -159,6 +159,17 @@ def test_no_isinstance_on_service_laws():
     assert hits == []
 
 
+def test_simulator_names_no_service_family_helper():
+    # the simulator runs the laws it is handed; choosing a law by family name is the harness's
+    path = ROOT / "src" / "codedlat" / "simulator.py"
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in ("chunk_dist", "canonical_family", "FAMILIES"):
+            hits.append(f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', 0)}: {name}")
+    assert hits == []
+
+
 def test_every_private_module_name_is_read():
     # a module-level _name (def, class or constant) that no module of the package reads is
     # dead, and so is a non-dunder method or property of a module-level _Class

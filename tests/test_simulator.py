@@ -9,19 +9,16 @@ from scipy.stats import chisquare
 
 from codedlat.bounds import harmonic, redundant_request_latency, residual_moment
 from codedlat.distributions import Constant, Exponential, ShiftedExponential, Weibull, chunk_dist
-from codedlat import simulator
+from codedlat import harness, simulator
 from codedlat.simulator import (
     BatchSampling,
     ClusterConfig,
-    GainResult,
     KSplit,
     LeastKOfN,
     NaiveReplication,
     RedundantRequest,
     _candidate_blocks,
     empirical_residual,
-    gain_arms,
-    gain_experiment,
     run,
     run_many,
 )
@@ -537,27 +534,31 @@ def test_config_validation():
 
 
 def test_gain_experiment_degenerate_split_is_exactly_zero():
-    result = gain_experiment(1, 2, 0.3, L=300, warmup_jobs=500, measured_jobs=5_000)
-    assert result.gain == 0.0
-    assert result.replicated.mean == result.split.mean
+    # at k = 1 the two arms coincide
+    replicated, split = run_many(harness.gain_arms(1, 2, 0.3, L=300, warmup_jobs=500,
+                                                   measured_jobs=5_000))
+    assert replicated.mean - split.mean == 0.0
 
 
 def test_gain_experiment_zero_load_matches_closed_form():
-    result = gain_experiment(2, 2, 0.01, L=400, warmup_jobs=500, measured_jobs=25_000)
-    assert result.gain == pytest.approx(0.25, abs=0.02)
-    assert result.std_err < 0.01
+    replicated, split = run_many(harness.gain_arms(2, 2, 0.01, L=400, warmup_jobs=500,
+                                                   measured_jobs=25_000))
+    assert replicated.mean - split.mean == pytest.approx(0.25, abs=0.02)
+    assert math.hypot(replicated.std_err, split.std_err) < 0.01
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.7, 0.9])
 def test_gain_std_err_matches_the_paired_difference(lam):
     # the arms share only their arrival epochs, so pairing them per job
     # leaves the quadrature standard error where it is
-    arms = gain_arms(4, 2, lam, "weibull", seed=3, shape=1.5, L=500,
-                     warmup_jobs=10_000, measured_jobs=10_000)
-    replicated, split = run_many([replace(c, keep_samples=True) for c in arms])
-    diff = replicated.samples - split.samples
+    arms = harness.gain_arms(4, 2, lam, "weibull", seed=3, shape=1.5, L=500,
+                             warmup_jobs=10_000, measured_jobs=10_000)
+    stats = run_many([replace(c, keep_samples=True) for c in arms])
+    diff = stats[0].samples - stats[1].samples
     paired = diff.std(ddof=1) / math.sqrt(diff.size)
-    assert GainResult.of(replicated, split).std_err == pytest.approx(paired, rel=0.03)
+    spec = harness.SweepSpec("gain-sweep", (lam,), ((8, 4, 2),), "weibull", shape=1.5)
+    (row,) = harness._gain_rows(spec, (8, 4, 2), lam, 3, stats)
+    assert row.sim_se == pytest.approx(paired, rel=0.03)
 
 
 @pytest.mark.parametrize("policy,additive", [
