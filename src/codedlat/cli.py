@@ -117,8 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--seed", dest="sim.seed", default=None,
                      help="sim.seed: base seed (default 0)")
     fig.add_argument("--jobs", type=int, default=None, help="parallel worker processes")
-    fig.add_argument("--only", default=None, choices=sorted(harness.PRESETS),
-                     help="emit a single preset")
 
     return parser
 
@@ -255,9 +253,8 @@ def _cmd_sweep(args, *, gate: bool) -> int:
 
 def _cmd_figures(args) -> int:
     out_dir = args.out or os.environ.get(_OUT_ENV, "figures-data")
-    names = [args.only] if args.only else sorted(harness.PRESETS)
     specs = {name: harness.build_spec([*harness.preset_entries(name), *_flag_entries(args)])
-             for name in names}
+             for name in sorted(harness.PRESETS)}
     failed = sum(_emit(spec, os.path.join(out_dir, f"{name}.csv"), args.jobs)
                  for name, spec in specs.items())
     return 1 if failed else 0

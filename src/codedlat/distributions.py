@@ -55,53 +55,16 @@ class SubExpParams:
             raise ValueError(f"envelope parameters must be nonnegative: {self}")
 
 
-# Cephes coefficients, highest power first: rational P/Q for gamma on [2, 3), Stirling series
-_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
-            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
-            9.99999999999999996796e-1)
-_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
-            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
-            7.14304917030273074085e-2, 1.00000000000000000320e0)
-_STIRLING = (7.87311395793093628397e-4, -2.29549961613378126380e-4, -2.68132617805781232825e-3,
-             3.47222221605458667310e-3, 8.33333333333482257126e-2)
-
-
-def _polevl(x: float, coef) -> float:
-    ans = 0.0  # Horner's rule in the order of Cephes polevl
-    for c in coef:
-        ans = ans * x + c
-    return ans
-
-
 def _gamma(x: float) -> float:
-    """Gamma for x > 0, ported from Cephes ``Gamma`` (Moshier, 1989).
+    """``math.gamma``, but ``inf`` where Gamma(x) overflows a float (x > 171.62).
 
-    ``scipy.special.gamma`` runs the same routine, and the port must stay
-    bit-identical to it: the Weibull scales 1/(k Gamma(1 + 1/m)) feed
-    every fig4 number, and ``math.gamma`` differs in the last bit on
-    most arguments.
+    A Weibull chunk of a tiny shape then gets scale 0 and fails the law's
+    own range check instead of raising ``OverflowError``.
     """
-    if x >= 171.624376956302725:
+    try:
+        return math.gamma(x)
+    except OverflowError:
         return math.inf
-    if x > 33.0:  # Stirling's series
-        w = 1.0 / x
-        w = 1.0 + w * _polevl(w, _STIRLING)
-        if x > 143.01608:  # split the power so that it does not overflow
-            v = x ** (0.5 * x - 0.25)
-            y = v * (v / math.exp(x))
-        else:
-            y = x ** (x - 0.5) / math.exp(x)
-        return 2.50662827463100050242 * y * w
-    z = 1.0  # recur to [2, 3), where the rational P/Q applies
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 2.0:
-        if x < 1e-9:
-            return z / ((1.0 + 0.5772156649015329 * x) * x)
-        z /= x
-        x += 1.0
-    return z * _polevl(x - 2.0, _GAMMA_P) / _polevl(x - 2.0, _GAMMA_Q)
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ class SweepSpec:
                               ("experiment", "lambda.grid"))
         try:  # the service laws, and the envelopes the bounds use, exist up front
             for k in sorted({k for _, k, _ in self.codes}):
-                chunk = dists.chunk_dist(fam, max(k, 1), shift=self.shift, shape=self.shape)
+                chunk = dists.chunk_dist(fam, k, shift=self.shift, shape=self.shape)
                 if self.experiment in ("gain-sweep", "bound-check") and fam != "exponential":
                     dists.subexp_params(chunk)
         except ValueError as exc:
@@ -171,8 +171,6 @@ class SweepSpec:
                               ("dist.family", "dist.shape", "dist.shift", "code.k")) from None
         if self.seed < 0:
             raise ConfigError(f"sim.seed must be nonnegative, got {self.seed}", ("sim.seed",))
-        if self.L is not None and self.L < 1:
-            raise ConfigError(f"sim.L must be positive, got {self.L}", ("sim.L",))
         if self.measured_jobs is not None and self.measured_jobs < 1:
             raise ConfigError(f"sim.measured_jobs must be positive, got {self.measured_jobs}",
                               ("sim.measured_jobs",))

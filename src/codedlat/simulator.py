@@ -728,7 +728,12 @@ def empirical_residual(
     if not 0.0 < rho < 1.0:
         raise ValueError(f"unstable single queue: utilization {rho}")
     warmup = 20_000 if warmup_jobs is None else warmup_jobs
-    jobs = warmup + (180_000 if measured_jobs is None else measured_jobs)
+    measured = 180_000 if measured_jobs is None else measured_jobs
+    if warmup < 0:
+        raise ValueError(f"warmup_jobs must be nonnegative, got {warmup}")
+    if measured < 1:
+        raise ValueError(f"measured_jobs must be positive, got {measured}")
+    jobs = warmup + measured
     arrivals, _, svc = _streams(seed, arrival_rate, service)
 
     pending = deque()

@@ -260,6 +260,19 @@ def test_cli_sweep_empty_lambda_grid_exits_2(tmp_path, capsys):
     assert "lambda grid empty" in capsys.readouterr().err
 
 
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sweep.config"
+    cfg.write_bytes(b"experiment = bound-check\n\xff\n")
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot read config: 'utf-8' codec can't decode")
+
+
+def test_a_direct_spec_without_codes_is_rejected():
+    with pytest.raises(harness.ConfigError, match="code grid empty"):
+        harness.SweepSpec("bound-check", (0.5,), ())
+
+
 def test_cli_sweep_unknown_key_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "experiment = gain-sweep\nlambda.grid = 0.5\nrcode.k = 2\n")
     assert cli.main(["sweep", "--config", cfg]) == 2
@@ -377,7 +390,7 @@ def test_cli_figures_exit_1_on_failed_row(tmp_path, capsys, monkeypatch):
         sim_mean=13.0, sim_se=0.01, theory=12.0, branch="BoundI-tight", passed=False,
     )
     monkeypatch.setattr(harness, "run_sweep", lambda spec, workers=None: [failed])
-    assert cli.main(["figures", "--only", "fig5", "--out", str(tmp_path)]) == 1
+    assert cli.main(["figures", "--out", str(tmp_path)]) == 1
     assert "0 passed" in capsys.readouterr().out
 
 
@@ -430,8 +443,17 @@ def test_cli_flag_repeating_a_preset_key_names_both_places(capsys):
     (None, ["--experiment", "batch-sampling", "--lambda", "0.8", "--n", "14", "--k", "10",
             "--d", "7"],
      "--d: code.d has no effect on batch-sampling"),
+    (None, ["--experiment", "bound-check", "--lambda", "0.5", "--k", "2", "--measured-jobs", "0"],
+     "--measured-jobs: sim.measured_jobs must be positive, got 0"),
+    (None, ["--experiment", "bound-check", "--lambda", "0.5", "--k", "2", "--warmup-jobs", "-1"],
+     "--warmup-jobs: sim.warmup_jobs must be nonnegative, got -1"),
+    (None, ["--experiment", "batch-sampling", "--n", "5", "--k", "4", "--lambda", "0.8"],
+     "--lambda, --n, --k: code (5,4): batch bounds are singular at lambda = k/n"),
+    (None, ["--experiment", "bound-check", "--lambda", "0.5", "--k", "2", "--d", "1"],
+     "--k, --d: code (2,2,1): replication degree d must be >= 2"),
 ], ids=["line", "flags", "line-and-flags", "preset-and-flag", "code-list", "seed", "shift",
-        "shape", "residual-code", "residual-L", "batch-d"])
+        "shape", "residual-code", "residual-L", "batch-d", "measured-jobs", "warmup-jobs",
+        "batch-singular", "d-below-2"])
 def test_cli_range_errors_name_their_entries(tmp_path, monkeypatch, capsys, source, argv, message):
     if source in harness.PRESETS:  # a preset without sim.L, so that --L joins it
         entries = {key: raw for key, raw in harness.PRESETS[source].items() if key != "sim.L"}
@@ -454,9 +476,9 @@ def test_cli_preset_and_config_are_exclusive(tmp_path, capsys):
 def test_cli_figures_and_compare_write_the_same_preset_csv(tmp_path, monkeypatch):
     small = {**harness.PRESETS["fig5"], "lambda.grid": "0.85", "sim.L": "200",
              "sim.warmup_jobs": "2000", "sim.measured_jobs": "3000"}
-    monkeypatch.setitem(harness.PRESETS, "fig5", small)
+    monkeypatch.setattr(harness, "PRESETS", {"fig5": small})
     figures, compare = tmp_path / "figures", tmp_path / "compare.csv"
-    cli.main(["figures", "--only", "fig5", "--seed", "4", "--out", str(figures)])
+    cli.main(["figures", "--seed", "4", "--out", str(figures)])
     cli.main(["compare", "--preset", "fig5", "--seed", "4", "--out", str(compare)])
     assert (figures / "fig5.csv").read_bytes() == compare.read_bytes()
     row = dict(zip(harness.CSV_COLUMNS, compare.read_text().splitlines()[1].split(",")))
@@ -615,6 +637,18 @@ def test_cli_rejects_an_unknown_family_naming_the_accepted_ones(capsys, argv, pr
         "(expected one of exponential, shifted-exponential, weibull)")
 
 
+@pytest.mark.parametrize("argv,prefix", [
+    (["simulate", "--policy", "ksplit", "--k", "2", "--lambda", "0.5"], ""),
+    (["bound", "--k", "2", "--lambda", "0.7"], ""),
+    (["sweep", "--experiment", "bound-check", "--k", "2", "--lambda", "0.5"],
+     "--dist, --shape, --k: dist: "),
+], ids=["simulate", "bound", "sweep"])
+def test_cli_weibull_shape_whose_gamma_overflows_exits_2(capsys, argv, prefix):
+    # Gamma(1 + 1/0.005) overflows a float: the chunk scale is 0, not an OverflowError
+    assert cli.main([*argv, "--dist", "weibull", "--shape", "0.005"]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {prefix}scale must be positive, got 0.0"
+
+
 @pytest.mark.parametrize("family,shift,shape", [
     ("exponential", 0.0, 1.0), ("shifted-exponential", 0.3, 1.0), ("weibull", 0.0, 0.7),
 ])
@@ -763,6 +797,49 @@ def test_one_small_sweep_per_kind_renders_its_pinned_csv():
                    "sim.seed": "0", "sim.warmup_jobs": "200", "sim.measured_jobs": "300"}
         spec = harness.build_spec([(key, f"--{key}", raw) for key, raw in entries.items()])
         assert harness.render_csv(harness.run_sweep(spec)) == csv, kind
+
+
+# The same sweeps on the two non-exponential families, where the service law's own
+# arithmetic (the Weibull gamma, the shifted chunk) reaches every column.
+FAMILY_ENTRIES = {
+    "weibull": {"dist.family": "weibull", "dist.shape": "1.5"},
+    "shifted-exponential": {"dist.family": "shifted-exponential", "dist.shift": "0.1"},
+}
+PINNED_FAMILY_CSV = {
+    ("gain-sweep", "weibull"): """\
+experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
+gain-sweep,weibull,1.5,0,4,2,2,0.5,,8668861027912758289,0.437515548,0.0533336644,-3.07409642,Phi1,1,1.23303098,0.795515431
+""",
+    ("bound-check", "weibull"): """\
+experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
+bound-check,weibull,1.5,0,4,2,2,0.5,,8668861027912758289,0.817118369,0.0250939615,3.39051793,Phi1,1,0.814560127,2.5759578
+""",
+    ("residual-check", "weibull"): """\
+experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
+residual-check,weibull,1.5,0,1,1,1,0.5,,8668861027912758289,0.868579415,0,0.730499243,,0,,
+""",
+    ("gain-sweep", "shifted-exponential"): """\
+experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
+gain-sweep,shifted-exponential,1,0.1,4,2,2,0.5,,8668861027912758289,0.41524629,0.0747126171,-1.5777216,Phi1,1,1.26772223,0.852475944
+""",
+    ("bound-check", "shifted-exponential"): """\
+experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
+bound-check,shifted-exponential,1,0.1,4,2,2,0.5,,8668861027912758289,0.912465395,0.0365364953,1.8941431,Phi1,1,1.20781064,0.686332463
+""",
+    ("residual-check", "shifted-exponential"): """\
+experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
+residual-check,shifted-exponential,1,0.1,1,1,1,0.5,,8668861027912758289,1.03581581,0,0.905,,0,,
+""",
+}
+
+
+@pytest.mark.parametrize("kind,family", sorted(PINNED_FAMILY_CSV))
+def test_one_small_non_exponential_sweep_renders_its_pinned_csv(kind, family):
+    entries = {"experiment": kind, "lambda.grid": "0.5", **KIND_ENTRIES[kind],
+               **FAMILY_ENTRIES[family], "sim.seed": "0", "sim.warmup_jobs": "200",
+               "sim.measured_jobs": "300"}
+    spec = harness.build_spec([(key, f"--{key}", raw) for key, raw in entries.items()])
+    assert harness.render_csv(harness.run_sweep(spec)) == PINNED_FAMILY_CSV[kind, family]
 
 
 @pytest.mark.parametrize("codes,L", [(((4, 2, 2),), None), (((1, 1, 1),), 500),

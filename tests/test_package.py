@@ -89,7 +89,7 @@ def test_exponential_runs_and_bounds_do_not_import_scipy():
 
 
 def test_weibull_runs_and_bounds_do_not_import_scipy():
-    # the Weibull gamma is a Cephes port, not scipy.special.gamma
+    # the Weibull gamma is math.gamma, not scipy.special.gamma
     script = (
         "import sys\n"
         "from codedlat import bounds, simulator\n"

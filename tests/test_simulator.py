@@ -589,3 +589,19 @@ def test_empirical_residual_matches_renewal_formula():
 def test_empirical_residual_rejects_unstable_queue():
     with pytest.raises(ValueError):
         empirical_residual(Exponential(rate=1.0), 1.1)
+
+
+@pytest.mark.parametrize("budgets,message", [
+    (dict(warmup_jobs=-5000, measured_jobs=20_000), "warmup_jobs must be nonnegative, got -5000"),
+    (dict(measured_jobs=0), "measured_jobs must be positive, got 0"),
+])
+def test_empirical_residual_rejects_bad_run_lengths_before_any_draw(monkeypatch, budgets, message):
+    monkeypatch.setattr(simulator, "_streams", lambda *args: pytest.fail("drew before checking"))
+    with pytest.raises(ValueError, match=message):
+        empirical_residual(Exponential(rate=1.0), 0.5, **budgets)
+
+
+def test_empirical_residual_without_a_busy_arrival_raises():
+    # one measured arrival at load 0.01 finds the server idle
+    with pytest.raises(RuntimeError, match="no busy arrivals observed"):
+        empirical_residual(Exponential(rate=1.0), 0.01, warmup_jobs=0, measured_jobs=1)
