@@ -151,29 +151,38 @@ def m_k_bound(dist: ServiceDistribution, k: int) -> float:
     return min(best, vals[i])
 
 
-def _split_levels(k: int, lam: float, strict: bool):
-    """Shared plumbing for the mean-latency bounds.
-
-    Returns (r_exp, spill) where r_exp = lg(4 lg k) - lg lg (k/lam) is
-    the queue level that the doubly-exponential tail exceeds with
-    probability at most 1/k^3, and spill = 2 lg(k/lam) / (4 k^4 lg k)
-    is the mass beyond it.  The general bound uses r_exp - 1 (its summands
-    exclude the task in service).
-    """
+def _check_split(k: int, lam: float, strict: bool) -> None:
+    """Reject a split count below 2, a load outside (0, 1) and, if strict, lam <= 1/k."""
     if k < 2 or k != int(k):
         raise ValueError(f"split count k must be an integer >= 2, got {k}")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"arrival intensity must lie in (0, 1), got {lam}")
     if strict and lam * k <= 1.0:
-        raise ValueError(
-            f"bound needs lam > 1/k (got lam={lam}, k={k}); the low-arrival regime "
-            "is covered by the zero-load order statistics instead"
-        )
+        raise ValueError(f"bound needs lam > 1/k (got lam={lam}, k={k}); the low-arrival "
+                         "regime is covered by the zero-load order statistics instead")
+
+
+def _queue_part(k: int, lam: float, params: SubExpParams, level_drop: int):
+    """Queue part of the mean-latency bounds: (first branch?, Phi, auxiliary).
+
+    The level r = lg(4 lg k) - lg lg(k/lam) - level_drop is where the
+    doubly-exponential queue tail falls to 1/k^3 (the general bound drops
+    one level: its summands exclude the task in service), and spill =
+    2 lg(k/lam) / (4 k^4 lg k) is the mass beyond it.  Phi is
+    2 b ln k + r/k + spill when 2 b^2 ln k >= tau^2 r, else
+    tau sqrt(2 ln k) sqrt(r) + r/k + spill.
+    """
     lg_k = math.log2(k)
     lg_k_over_lam = math.log2(k / lam)
-    r_exp = math.log2(4.0 * lg_k) - math.log2(lg_k_over_lam)
+    r = math.log2(4.0 * lg_k) - math.log2(lg_k_over_lam) - level_drop
     spill = 2.0 * lg_k_over_lam / (4.0 * k**4 * lg_k)
-    return r_exp, spill
+    ln_k = math.log(k)
+    first = 2.0 * params.b**2 * ln_k >= params.tau_sq * r
+    if first:
+        phi = 2.0 * params.b * ln_k + r / k + spill
+    else:
+        phi = math.sqrt(params.tau_sq) * math.sqrt(2.0 * ln_k) * math.sqrt(r) + r / k + spill
+    return first, phi, {"queue_level": r, "spill": spill, "miss_prob": k ** (-3.0)}
 
 
 def mean_latency_bound_exp(k: int, lam: float, *, strict: bool = True) -> BoundReport:
@@ -181,7 +190,9 @@ def mean_latency_bound_exp(k: int, lam: float, *, strict: bool = True) -> BoundR
 
     Phi3 = 2 ln k / k + r/k + spill   when 2 ln k >= r,
     Phi4 = sqrt(2 ln k) sqrt(r) / k + r/k + spill   otherwise,
-    with r = lg(4 lg k) - lg lg(k / lam).  ``strict=False`` evaluates
+    with r = lg(4 lg k) - lg lg(k / lam).  This is the general bound's
+    queue part at (tau_sq, b) = (1/k^2, 1/k), one queue level higher
+    and with no residual term.  ``strict=False`` evaluates
     the same expressions outside the certified region lam > 1/k
     (useful as a conservative reference; downstream users must floor
     the result at the zero-load latency themselves).
@@ -192,19 +203,11 @@ def mean_latency_bound_exp(k: int, lam: float, *, strict: bool = True) -> BoundR
     sqrt(ln 2) + 1 + 1/32 = 1.8638 for k = 2 (Phi4), while the mean
     latency of a split system diverges.
     """
-    r_exp, spill = _split_levels(k, lam, strict)
-    ln_k = math.log(k)
-    if 2.0 * ln_k >= r_exp:
-        branch = "Phi3"
-        value = 2.0 * ln_k / k + r_exp / k + spill
-    else:
-        branch = "Phi4"
-        value = math.sqrt(2.0 * ln_k) * math.sqrt(r_exp) / k + r_exp / k + spill
-    return BoundReport(
-        value=value,
-        branch=branch,
-        auxiliary={"queue_level": r_exp, "spill": spill, "miss_prob": k ** (-3.0)},
-    )
+    _check_split(k, lam, strict)
+    # written out, not subexp_params(Exponential(k)): changing that envelope must not move this
+    params = SubExpParams(tau_sq=1.0 / k**2, b=1.0 / k)
+    first, phi, aux = _queue_part(k, lam, params, level_drop=0)
+    return BoundReport(value=phi, branch="Phi3" if first else "Phi4", auxiliary=aux)
 
 
 def mean_latency_bound_general(
@@ -222,27 +225,10 @@ def mean_latency_bound_general(
     r = lg(4 lg k) - lg lg(k/lam) - 1.  The value adds the residual part
     ``m_k`` = M(k), which is ``m_k_bound(chunk, k)`` for the chunk law.
     """
-    r_exp, spill = _split_levels(k, lam, strict)
-    r_gen = r_exp - 1.0
-    ln_k = math.log(k)
-    tau = math.sqrt(params.tau_sq)
-    if 2.0 * params.b**2 * ln_k >= params.tau_sq * r_gen:
-        branch = "Phi1"
-        phi = 2.0 * params.b * ln_k + r_gen / k + spill
-    else:
-        branch = "Phi2"
-        phi = tau * math.sqrt(2.0 * ln_k) * math.sqrt(r_gen) + r_gen / k + spill
-    return BoundReport(
-        value=phi + m_k,
-        branch=branch,
-        auxiliary={
-            "queue_level": r_gen,
-            "spill": spill,
-            "phi": phi,
-            "residual_max": m_k,
-            "miss_prob": k ** (-3.0),
-        },
-    )
+    _check_split(k, lam, strict)
+    first, phi, aux = _queue_part(k, lam, params, level_drop=1)
+    return BoundReport(value=phi + m_k, branch="Phi1" if first else "Phi2",
+                       auxiliary={**aux, "phi": phi, "residual_max": m_k})
 
 
 def mean_latency_bound(
@@ -279,10 +265,7 @@ def tail_latency_bound(k: int, lam: float, epsilon: float, t: float) -> BoundRep
     bound clamps to 1.  ``branch`` names the regime (Unit, Gauss, Exp);
     ``auxiliary`` holds r and the anchor.
     """
-    if k < 2 or k != int(k):
-        raise ValueError(f"split count k must be an integer >= 2, got {k}")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"arrival intensity must lie in (0, 1), got {lam}")
+    _check_split(k, lam, strict=False)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"tail budget must lie in (0, 1), got {epsilon}")
     if t < 0.0:

@@ -192,6 +192,8 @@ def _cmd_bound(args) -> int:
     if (args.epsilon is None) != (args.t is None):
         raise harness.ConfigError("tail bound needs both --epsilon and --t")
     if args.epsilon is not None:
+        if args.loose:
+            raise harness.ConfigError("--loose: the tail bound does not read it")
         if dists.canonical_family(args.dist) != "exponential":
             raise harness.ConfigError(f"--dist: the tail bound needs exponential service, "
                                       f"got {args.dist!r}")

@@ -351,7 +351,10 @@ def _align_codes(
     for n, k, d in zip(ns_b, ks_b, ds_b):
         if k < 1:
             raise ConfigError(f"code.k must be positive, got {k}", ("code.k",))
-        if d is None and n is not None and n % k == 0 and n // k >= 2:
+        if d is None and n is not None:
+            if n % k or n // k < 2:
+                raise ConfigError(f"code.n = {n} is not d * code.k for an integer d >= 2; "
+                                  "set code.d", ("code.n", "code.k"))
             d = n // k
         if d is None:
             d = 2

@@ -107,6 +107,39 @@ def test_mean_bound_exp_strict_region():
     assert math.isfinite(report.value)
 
 
+@pytest.mark.parametrize("k, lam, want, branch", [
+    (2, 0.9, 1.7228486190772396, "Phi4"),
+    (4, 0.9, 1.1688287081483053, "Phi3"),
+    (8, 0.9, 0.7610753345083623, "Phi3"),
+    (16, 0.5, 0.45146262109267654, "Phi3"),
+])
+def test_mean_bound_exp_bit_exact_at_powers_of_two(k, lam, want, branch):
+    # at power-of-two k the envelope (1/k^2, 1/k) is exact, so routing the bound through the
+    # shared queue part leaves the hand-written closed form's value unchanged to the bit
+    report = bounds.mean_latency_bound_exp(k, lam)
+    assert (report.value, report.branch) == (want, branch)
+
+
+def test_mean_bound_exp_is_the_general_queue_part_one_level_up():
+    # over the whole grid the value is the closed form rebuilt from its own level and spill to
+    # within 2 ulp (b ln k with b = 1/k need not round like ln k / k), and the general
+    # bound's level sits exactly one below
+    params = SubExpParams(tau_sq=1.0, b=1.0)
+    for k in range(2, 65):
+        ln_k = math.log(k)
+        for i in range(1, 200):
+            lam = i / 200
+            report = bounds.mean_latency_bound_exp(k, lam, strict=False)
+            r, spill = report.auxiliary["queue_level"], report.auxiliary["spill"]
+            if report.branch == "Phi3":
+                rebuilt = 2.0 * ln_k / k + r / k + spill
+            else:
+                rebuilt = math.sqrt(2.0 * ln_k) * math.sqrt(r) / k + r / k + spill
+            assert abs(report.value - rebuilt) <= 2 * math.ulp(rebuilt), (k, lam)
+            general = bounds.mean_latency_bound_general(k, lam, params, 0.0, strict=False)
+            assert general.auxiliary["queue_level"] == r - 1.0, (k, lam)
+
+
 # ---------------------------------------------------------------------------
 # mean latency bounds, sub-exponential chunks
 

@@ -451,9 +451,13 @@ def test_cli_flag_repeating_a_preset_key_names_both_places(capsys):
      "--lambda, --n, --k: code (5,4): batch bounds are singular at lambda = k/n"),
     (None, ["--experiment", "bound-check", "--lambda", "0.5", "--k", "2", "--d", "1"],
      "--k, --d: code (2,2,1): replication degree d must be >= 2"),
+    (None, ["--experiment", "gain-sweep", "--lambda", "0.5", "--n", "5", "--k", "2"],
+     "--n, --k: code.n = 5 is not d * code.k for an integer d >= 2; set code.d"),
+    (None, ["--experiment", "gain-sweep", "--lambda", "0.5", "--n", "2", "--k", "2"],
+     "--n, --k: code.n = 2 is not d * code.k for an integer d >= 2; set code.d"),
 ], ids=["line", "flags", "line-and-flags", "preset-and-flag", "code-list", "seed", "shift",
         "shape", "residual-code", "residual-L", "batch-d", "measured-jobs", "warmup-jobs",
-        "batch-singular", "d-below-2"])
+        "batch-singular", "d-below-2", "n-not-a-multiple", "n-one-copy"])
 def test_cli_range_errors_name_their_entries(tmp_path, monkeypatch, capsys, source, argv, message):
     if source in harness.PRESETS:  # a preset without sim.L, so that --L joins it
         entries = {key: raw for key, raw in harness.PRESETS[source].items() if key != "sim.L"}
@@ -581,6 +585,8 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
     bound_argvs = [
         ["--k", "4", "--lambda", "0.9", "--dist", "weibull", "--shape", "0"],
         ["--k", "4", "--lambda", "0.9", "--dist", "weibull", "--shape", "-1"],
+        ["--k", "0", "--lambda", "0.9"],
+        ["--k", "-1", "--lambda", "0.9", "--epsilon", "0.01", "--t", "1"],
     ]
     for argv in simulates:
         assert cli.main(["simulate", *argv]) == 2, argv
@@ -618,6 +624,8 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
     (["simulate", "--policy", "ksplit", "--lambda", "0.5"], "--policy ksplit requires --k"),
     (["bound", "--k", "4", "--lambda", "0.9", "--epsilon", "0.01"],
      "tail bound needs both --epsilon and --t"),
+    (["bound", "--k", "2", "--lambda", "0.9", "--epsilon", "0.01", "--t", "1", "--loose"],
+     "--loose: the tail bound does not read it"),
 ])
 def test_cli_rejects_dist_flags_the_family_does_not_read(capsys, argv, message):
     assert cli.main(argv) == 2

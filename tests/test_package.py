@@ -207,3 +207,14 @@ def test_package_never_imports_scipy():
             hits += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
                      for name in names if name.partition(".")[0] == "scipy"]
     assert hits == []
+
+
+def test_sources_parse_under_the_declared_python_floor():
+    """Every source and test file parses under Python 3.10, pyproject.toml's requires-python floor.
+
+    This checks grammar only (no 3.11 ``except*``, no 3.12 ``type`` statement), not
+    standard-library APIs newer than 3.10.
+    """
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
