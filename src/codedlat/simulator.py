@@ -15,19 +15,20 @@ that time.  ``NaiveReplication`` and ``KSplit`` jobs keep each group's
 least queue while probing it and place the task at once; other jobs
 are probed whole, then ``_choose`` picks.  ``run_many`` advances
 many non-purging runs (the points of a sweep) in lockstep as numpy
-lanes, counting each queue with one popcount over a ring of its
-server's pending departures.  The event engine, the oracle for both,
-processes each completion from an explicit heap.  A task is a (job,
-service, server) tuple in its server's deque, the task in service at
-the head.  A purged task leaves its deque at once, so a completion
-whose task is no longer at the head is skipped.  Every run checks that
-no task finishes before its service is done and that every job
-completes.
+lanes: one popcount over a ring of each server's pending departures
+counts its queue, a pointer to its last write and a successor table
+place its tasks, and one flat stable argsort picks in every lane.  The
+event engine, the oracle for both, processes each completion from an
+explicit heap.  A task is a (job, service, server) tuple in its
+server's deque, the task in service at the head.  A purged task leaves
+its deque at once, so a completion whose task is no longer at the head
+is skipped.  Every run checks that no task finishes before its service
+is done and that every job completes.
 Every run consumes its own three RNG streams (arrivals, selection,
 service), each drawn in whole blocks (selection candidates as blocks of
 server rows), and every engine reads them through one chunked reader,
-``_jobs``, ``_CHUNK`` jobs at a time, which is what makes the outputs
-interchangeable.
+``_jobs``, ``_CHUNK`` jobs at a time (``_LANE_CHUNK`` for lanes), which
+is what makes the outputs interchangeable.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -62,6 +64,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # dispatch policies
 
+def _need(value, least: float, message: str, most: float = math.inf) -> None:
+    """Raise ``ValueError(message)`` unless ``value`` is an integer (a bool is not) in [least, most]."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not least <= value <= most:
+        raise ValueError(message)
+
+
+def _check_integers(**values) -> None:
+    """Reject a value that is neither None (a default) nor an integer."""
+    for name, value in values.items():
+        if value is not None:
+            _need(value, -math.inf, f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NaiveReplication:
     """Whole file to the least loaded of d randomly probed servers."""
@@ -69,8 +84,7 @@ class NaiveReplication:
     d: int
 
     def __post_init__(self):
-        if self.d < 2 or self.d != int(self.d):
-            raise ValueError(f"choice count d must be an integer >= 2, got {self.d}")
+        _need(self.d, 2, f"choice count d must be an integer >= 2, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -85,10 +99,8 @@ class KSplit:
     d: int
 
     def __post_init__(self):
-        if self.k < 2 or self.k != int(self.k):
-            raise ValueError(f"split count k must be an integer >= 2, got {self.k}")
-        if self.d < 2 or self.d != int(self.d):
-            raise ValueError(f"choice count d must be an integer >= 2, got {self.d}")
+        _need(self.k, 2, f"split count k must be an integer >= 2, got {self.k}")
+        _need(self.d, 2, f"choice count d must be an integer >= 2, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -99,10 +111,8 @@ class LeastKOfN:
     k: int
 
     def __post_init__(self):
-        if self.k < 1 or self.k != int(self.k):
-            raise ValueError(f"split count k must be a positive integer, got {self.k}")
-        if self.n < self.k or self.n != int(self.n):
-            raise ValueError(f"probe count n must be an integer >= k={self.k}, got {self.n}")
+        _need(self.k, 1, f"split count k must be a positive integer, got {self.k}")
+        _need(self.n, self.k, f"probe count n must be an integer >= k={self.k}, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -118,12 +128,9 @@ class BatchSampling:
     k: int
 
     def __post_init__(self):
-        if self.k < 1 or self.k != int(self.k):
-            raise ValueError(f"task count k must be a positive integer, got {self.k}")
-        if self.n != int(self.n) or not self.k < self.n < 2 * self.k:
-            raise ValueError(
-                f"probe count must satisfy 1 < n/k < 2, got n={self.n}, k={self.k}"
-            )
+        _need(self.k, 1, f"task count k must be a positive integer, got {self.k}")
+        _need(self.n, self.k + 1, f"probe count must satisfy 1 < n/k < 2, got n={self.n}, k={self.k}",
+              most=2 * self.k - 1)
 
 
 @dataclass(frozen=True)
@@ -139,10 +146,8 @@ class RedundantRequest:
     extra: int = 0
 
     def __post_init__(self):
-        if self.k < 1 or self.k != int(self.k):
-            raise ValueError(f"needed completions k must be a positive integer, got {self.k}")
-        if self.extra < 0 or self.extra != int(self.extra):
-            raise ValueError(f"extra fan-out must be a nonnegative integer, got {self.extra}")
+        _need(self.k, 1, f"needed completions k must be a positive integer, got {self.k}")
+        _need(self.extra, 0, f"extra fan-out must be a nonnegative integer, got {self.extra}")
 
 
 Policy = NaiveReplication | KSplit | LeastKOfN | BatchSampling | RedundantRequest
@@ -215,27 +220,24 @@ class ClusterConfig:
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"per-server intensity must lie in (0, 1), got {self.lam}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_integers(L=self.L, seed=self.seed, warmup_jobs=self.warmup_jobs,
+                        measured_jobs=self.measured_jobs)
+        _need(self.seed, 0, f"seed must be nonnegative, got {self.seed}")
         if self.engine not in ("fast", "event"):
             raise ValueError(f"engine must be 'fast' or 'event', got {self.engine!r}")
         shape = _shape(self.policy)
         if self.L is None:
             object.__setattr__(self, "L", max(2000, 200 * shape.needed))
-        if self.L < shape.fanout:
-            raise ValueError(
-                f"cluster of {self.L} servers cannot host a policy probing {shape.fanout}"
-            )
+        _need(self.L, shape.fanout,
+              f"cluster of {self.L} servers cannot host a policy probing {shape.fanout}")
         if self.warmup_jobs is None:
             object.__setattr__(self, "warmup_jobs", 20 * self.L)
         if self.measured_jobs is None:
             object.__setattr__(
                 self, "measured_jobs", max(1, 1_000_000 // shape.tasks)
             )
-        if self.warmup_jobs < 0:
-            raise ValueError(f"warmup_jobs must be nonnegative, got {self.warmup_jobs}")
-        if self.measured_jobs < 1:
-            raise ValueError(f"measured_jobs must be positive, got {self.measured_jobs}")
+        _need(self.warmup_jobs, 0, f"warmup_jobs must be nonnegative, got {self.warmup_jobs}")
+        _need(self.measured_jobs, 1, f"measured_jobs must be positive, got {self.measured_jobs}")
 
     @property
     def job_rate(self) -> float:
@@ -266,6 +268,7 @@ class LatencyStats:
 
 _BLOCK = 8192
 _CHUNK = 64  # jobs whose draws are gathered, and whose outputs are summed, at once
+_LANE_CHUNK = 256  # the same for lockstep lanes, whose per-chunk cost is shared by every lane
 
 
 def _blocks(draw, rng):
@@ -346,27 +349,27 @@ def _streams(seed: int, rate: float, service: ServiceDistribution):
     return arrivals, np.random.default_rng(sel_seed), draws
 
 
-def _epochs(arrivals: _Stream, total: int):
-    """(first job, arrival epochs) of ``total`` jobs, ``_CHUNK`` at a time, each
+def _epochs(arrivals: _Stream, total: int, chunk: int):
+    """(first job, arrival epochs) of ``total`` jobs, ``chunk`` at a time, each
     summed in order from the last one before (``np.add.accumulate`` is sequential),
     so every epoch is the same float as ``t += gap`` job by job.  The epochs are a
     view that the next chunk overwrites."""
-    t = np.zeros(_CHUNK + 1)
-    for j0 in range(0, total, _CHUNK):
-        J = min(_CHUNK, total - j0)
-        t[0] = t[_CHUNK]
+    t = np.zeros(chunk + 1)
+    for j0 in range(0, total, chunk):
+        J = min(chunk, total - j0)
+        t[0] = t[chunk]
         t[1 : J + 1] = arrivals.take(J)
         yield j0, np.add.accumulate(t[: J + 1], out=t[: J + 1])[1:]
 
 
-def _jobs(config: ClusterConfig):
+def _jobs(config: ClusterConfig, chunk: int):
     """(first job, arrival epochs, candidate rows, service rows) of a run's jobs,
-    ``_CHUNK`` at a time: the one reader of its streams for every engine.  The
+    ``chunk`` at a time: the one reader of its streams for every engine.  The
     epochs are ``_epochs``' view, so a consumer copies them before the next pull."""
     arrivals, sel_rng, service = _streams(config.seed, config.job_rate, config.service)
     shape = _shape(config.policy)
     rows = _Stream(_candidate_blocks(sel_rng, config.L, shape.fanout))
-    for j0, epochs in _epochs(arrivals, config.warmup_jobs + config.measured_jobs):
+    for j0, epochs in _epochs(arrivals, config.warmup_jobs + config.measured_jobs, chunk):
         J = len(epochs)
         yield j0, epochs, rows.take(J), service.take(J * shape.tasks).reshape(J, shape.tasks)
 
@@ -392,7 +395,7 @@ def _run_fast(config: ClusterConfig):
     pending = [deque() for _ in range(config.L)]  # times the tasks at a server leave, ascending
     lat = np.empty(config.measured_jobs)
     counts = np.zeros(1, dtype=np.int64)  # probes by queue length seen
-    for j0, epochs, rows, service in _jobs(config):
+    for j0, epochs, rows, service in _jobs(config, _CHUNK):
         J, epochs = len(epochs), epochs.tolist()
         probed, dones = [], []
         if fused:
@@ -451,13 +454,23 @@ _LOCKSTEP_MIN_LANES = 6  # smaller groups run faster one by one
 _RING = 8  # initial slots per server for pending departures; doubled on demand
 
 
-def _grow(ring: np.ndarray, wp: np.ndarray) -> np.ndarray:
-    """Double every server's ring, oldest departure first; nothing is dropped."""
+def _grow(ring: np.ndarray, wp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Double every server's ring, oldest departure first; nothing is dropped.  ``wp``, the
+    flat index of each server's last write, moves to its slot depth - 1.  Returns the ring and
+    its successor table: the flat index of the slot after each one, round its server's ring."""
+    servers, depth = ring.shape
+    grown = np.zeros((servers, 2 * depth))
+    grown[:, :depth] = np.take_along_axis(ring, (wp[:, None] + 1 + np.arange(depth)) % depth, axis=1)
+    slots = np.arange(grown.size).reshape(grown.shape)
+    wp[:] = slots[:, depth - 1]
+    return grown, np.roll(slots, -1, axis=1).ravel()
+
+
+def _depth_views(ring: np.ndarray, group_key: np.ndarray):
+    """(depth, flat ring, pick key base, probe flags, their ``uint64`` words) at a depth."""
     depth = ring.shape[1]
-    grown = np.zeros((len(ring), 2 * depth))
-    grown[:, :depth] = np.take_along_axis(ring, (wp[:, None] + np.arange(depth)) % depth, axis=1)
-    wp[:] = depth
-    return grown
+    ahead = np.zeros((*group_key.shape, -(-depth // 8) * 8), dtype=bool)  # whole uint64 words
+    return depth, ring.reshape(-1), group_key * (depth + 1), ahead[..., :depth], ahead.view(np.uint64)
 
 
 def _run_lanes(configs: Sequence[ClusterConfig]):
@@ -469,9 +482,11 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
     still ahead of t doubles the depth first.  The probe writes ``dep > t``
     per slot into a zeroed bool buffer padded to whole 8-byte words and
     counts each server's flags with one ``np.bitwise_count`` per ``uint64``
-    word, at every depth.  A server's last departure, where its next task
-    starts, lives apart in the flat array ``last``.  Selection is a stable
-    argsort of (group id, queue length), then the policy's positions.
+    word, at every depth.  ``wp`` holds the flat index of each server's
+    last write, whose departure is where its next task starts; a
+    successor table gives the slot written next.  Selection is one stable
+    argsort of the flat keys (lane, group id, queue length), whose sorted
+    positions index the flat candidate rows, then the policy's positions.
     Lanes are padded to a common width with columns at private dummy
     servers that sort last and get zero-service padding tasks.
     """
@@ -491,53 +506,48 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
         pick[r, : sh.tasks] = (starts + np.arange(sh.picks)).ravel()
         pick[r, sh.tasks :] = np.arange(W - K + sh.tasks, W)  # padding columns, sorted last
     pick = (np.arange(R)[:, None] * W + pick).ravel()
-    row_base = np.repeat(np.arange(R) * W, K)
+    group_key = np.arange(R)[:, None] * (W + 1) + gid  # lane-major (lane, group id)
     real = gid < W
     lane_of_real = np.nonzero(real)[0]
 
-    depth = _RING
-    ring, last = np.zeros((servers, depth)), np.zeros(servers)
-    wp = np.zeros(servers, dtype=np.int64)
-    key_base = gid * (depth + 1)
-    ahead = np.zeros((R, W, -(-depth // 8) * 8), dtype=bool)  # whole uint64 words
+    slots = np.arange(servers * _RING).reshape(servers, _RING)
+    ring, wp, succ = np.zeros(slots.shape), slots[:, -1].copy(), np.roll(slots, -1, axis=1).ravel()
+    depth, flat, key_base, flags, words = _depth_views(ring, group_key)
     lat = np.empty((R, measured))
     counts = np.zeros((R, 1), dtype=np.int64)
     # chunk buffers, reused: padding columns and padding services stay put
-    t, t_task = np.empty((_CHUNK, R)), np.empty((_CHUNK, R, K))
-    cand = np.empty((_CHUNK, R, W), dtype=np.int64)
+    t, t_task = np.empty((_LANE_CHUNK, R)), np.empty((_LANE_CHUNK, R, K))
+    cand = np.empty((_LANE_CHUNK, R, W), dtype=np.int64)
     cand[:] = template
-    svc = np.zeros((_CHUNK, R, K))
-    qs = np.empty((_CHUNK, R, W), dtype=np.int64)
-    deps = np.empty((_CHUNK, R * K))
-    for chunk in zip(*map(_jobs, configs)):
+    svc = np.zeros((_LANE_CHUNK, R, K))
+    qs = np.empty((_LANE_CHUNK, R, W), dtype=np.int64)
+    deps = np.empty((_LANE_CHUNK, R * K))
+    for chunk in zip(*(_jobs(c, _LANE_CHUNK) for c in configs)):
         j0, J = chunk[0][0], len(chunk[0][1])
         for r, (_, epochs, rows, service) in enumerate(chunk):
             t[:J, r] = epochs
             cand[:J, r, : shapes[r].fanout] = rows + offsets[r]
             svc[:J, r, : shapes[r].tasks] = service
-        t_probe = t[:, :, None]
-        t_task[:] = t_probe
-        flat_task, flat_svc = t_task.reshape(_CHUNK, R * K), svc.reshape(_CHUNK, R * K)
-        for j in range(J):
-            c, q, dep = cand[j], qs[j], deps[j]
-            np.greater(ring.take(c, axis=0), t_probe[j, :, :, None], out=ahead[..., :depth])
-            np.add.reduce(np.bitwise_count(ahead.view(np.uint64)), axis=2, out=q)
-            s = c.take(row_base + (key_base + q).argsort(axis=1, kind="stable").take(pick))
-            if q.max() == depth and (ring[s, wp[s]] > flat_task[j]).any():
-                ring = _grow(ring, wp)
-                depth = ring.shape[1]
-                key_base = gid * (depth + 1)
-                ahead = np.zeros((R, W, -(-depth // 8) * 8), dtype=bool)
-            w = wp[s]
-            np.maximum(last.take(s), flat_task[j], out=dep)
-            dep += flat_svc[j]
-            ring[s, w] = last[s] = dep
-            wp[s] = (w + 1) % depth
+        t_task[:] = t[:, :, None]
+        steps = zip(cand[:J], qs, deps, t[:, :, None, None],
+                    t_task.reshape(-1, R * K), svc.reshape(-1, R * K))
+        for c, q, dep, tp, tt, sv in steps:
+            np.greater(ring.take(c, axis=0), tp, out=flags)
+            np.add.reduce(np.bitwise_count(words), axis=2, out=q)
+            s = c.take((key_base + q).argsort(axis=None, kind="stable").take(pick))
+            if q.max() == depth and (flat.take(succ.take(wp.take(s))) > tt).any():
+                ring, succ = _grow(ring, wp)
+                depth, flat, key_base, flags, words = _depth_views(ring, group_key)
+            w = wp.take(s)
+            np.maximum(flat.take(w), tt, out=dep)
+            dep += sv
+            w = succ.take(w)
+            flat.put(w, dep)
+            wp.put(s, w)
         first = max(warmup - j0, 0)
         if first < J:
-            done = j0 + first - warmup
             worst = deps[first:J].reshape(-1, R, K).max(-1)
-            lat[:, done : done + J - first] = (worst - t[first:J]).T
+            lat[:, j0 + first - warmup : j0 + J - warmup] = (worst - t[first:J]).T
             counts = np.pad(counts, ((0, 0), (0, depth + 1 - counts.shape[1])))
             codes = qs[first:J, real] + lane_of_real * (depth + 1)
             counts += np.bincount(codes.ravel(), minlength=R * (depth + 1)).reshape(R, depth + 1)
@@ -586,7 +596,7 @@ def _run_event(config: ClusterConfig):
         # every job, then the last arrival; a chunk's probes are tallied once
         # its jobs are dispatched
         nonlocal counts
-        for j0, epochs, rows, service in _jobs(config):
+        for j0, epochs, rows, service in _jobs(config, _CHUNK):
             yield from zip(range(j0, total), epochs.tolist(), rows.tolist(), service.tolist())
             counts = _tally(counts, probed[max(warmup - j0, 0) * fanout :])
             probed.clear()
@@ -724,22 +734,22 @@ def empirical_residual(
     finds the server busy records the remaining service in progress, and
     their average estimates the busy-conditioned residual E[X^2] / (2 E[X]).
     """
+    _check_integers(seed=seed, warmup_jobs=warmup_jobs, measured_jobs=measured_jobs)
+    _need(seed, 0, f"seed must be nonnegative, got {seed}")
     rho = arrival_rate * dists.mean(service)
     if not 0.0 < rho < 1.0:
         raise ValueError(f"unstable single queue: utilization {rho}")
     warmup = 20_000 if warmup_jobs is None else warmup_jobs
     measured = 180_000 if measured_jobs is None else measured_jobs
-    if warmup < 0:
-        raise ValueError(f"warmup_jobs must be nonnegative, got {warmup}")
-    if measured < 1:
-        raise ValueError(f"measured_jobs must be positive, got {measured}")
+    _need(warmup, 0, f"warmup_jobs must be nonnegative, got {warmup}")
+    _need(measured, 1, f"measured_jobs must be positive, got {measured}")
     jobs = warmup + measured
     arrivals, _, svc = _streams(seed, arrival_rate, service)
 
     pending = deque()
     acc = 0.0
     busy = 0
-    for j0, epochs in _epochs(arrivals, jobs):
+    for j0, epochs in _epochs(arrivals, jobs, _CHUNK):
         for j, t, x in zip(range(j0, jobs), epochs.tolist(), svc.take(len(epochs)).tolist()):
             while pending and pending[0] <= t:
                 pending.popleft()

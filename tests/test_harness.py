@@ -300,9 +300,9 @@ def test_residual_check_measures_its_jobs_after_warmup(tmp_path, monkeypatch):
         calls.append((kwargs["warmup_jobs"], kwargs["measured_jobs"]))
         return real(service, lam, **kwargs)
 
-    def counting(stream, total):
+    def counting(stream, total, chunk):
         arrivals.append(0)
-        for j0, epochs in real_epochs(stream, total):
+        for j0, epochs in real_epochs(stream, total, chunk):
             arrivals[-1] += len(epochs)
             yield j0, epochs
 

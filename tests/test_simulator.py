@@ -191,6 +191,19 @@ def test_ring_overflow_grows_and_stays_exact(monkeypatch):
     assert max(q for stats in want for q, _ in stats.queue_ccdf) >= 16
 
 
+def test_grow_keeps_every_departure_oldest_first():
+    # server 0 last wrote slot 1, so slot 2 holds its oldest departure; server 1
+    # last wrote slot 3, so its ring is already oldest-first
+    ring = np.array([[5.0, 6.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
+    wp = np.array([1, 7])
+    grown, succ = simulator._grow(ring, wp)
+    assert np.array_equal(grown, [[3, 4, 5, 6, 0, 0, 0, 0], [1, 2, 3, 4, 0, 0, 0, 0]])
+    assert np.array_equal(wp, [3, 11])  # each server's slot depth - 1, its last write
+    assert np.array_equal(grown.ravel()[wp], [6.0, 4.0])
+    # each slot's successor is the next slot of the same server, round its ring
+    assert np.array_equal(succ, [1, 2, 3, 4, 5, 6, 7, 0, 9, 10, 11, 12, 13, 14, 15, 8])
+
+
 def test_scalar_runs_of_one_pick_per_group_take_the_fused_step(monkeypatch):
     # the scalar engine finds NaiveReplication's and KSplit's group minima while
     # probing; the event engine and every other shape keep the shared ``_choose``
@@ -447,13 +460,16 @@ def test_chunk_size_leaves_scalar_runs_and_residuals_unchanged(monkeypatch):
     reference = _residual_job_by_job(Exponential(rate=2.0), 1.8, seed=4, jobs=1_001, warmup=100)
     want, want_samples, want_residual = outputs()
     assert want_residual == reference
-    for chunk in (1, 7):
+    # 64 divides neither 101 warmup nor 250 measured jobs, so a lane chunk
+    # holds the last warmup and the first measured jobs
+    for chunk, lane_chunk in [(1, 1), (7, 7), (7, 64)]:
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        monkeypatch.setattr(simulator, "_LANE_CHUNK", lane_chunk)
         got, got_samples, got_residual = outputs()
-        assert got == want, chunk
+        assert got == want, (chunk, lane_chunk)
         assert all(np.array_equal(a, b) for a, b in zip(got_samples, want_samples))
         assert got_residual == want_residual
-    assert laned == [len(lanes)] * 3
+    assert laned == [len(lanes)] * 4
 
 
 def test_run_many_runs_purging_configs_one_by_one(monkeypatch):
@@ -531,6 +547,51 @@ def test_config_validation():
         BatchSampling(n=20, k=10)  # probe ratio must stay below 2
     with pytest.raises(ValueError):
         RedundantRequest(k=0, extra=1)
+
+
+_EXP = Exponential(rate=1.0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: ClusterConfig(0.5, NaiveReplication(d=2), _EXP, L=100.5), "L must be an integer"),
+    (lambda: ClusterConfig(0.5, NaiveReplication(d=2), _EXP, L=True), "L must be an integer"),
+    (lambda: ClusterConfig(0.5, NaiveReplication(d=2), _EXP, warmup_jobs=10.5),
+     "warmup_jobs must be an integer"),
+    (lambda: ClusterConfig(0.5, NaiveReplication(d=2), _EXP, measured_jobs=10.5),
+     "measured_jobs must be an integer"),
+    (lambda: ClusterConfig(0.5, NaiveReplication(d=2), _EXP, seed=1.5), "seed must be an integer"),
+    (lambda: ClusterConfig(0.5, NaiveReplication(d=2), _EXP, seed=False), "seed must be an integer"),
+    (lambda: NaiveReplication(d=2.0), "choice count d must be an integer >= 2"),
+    (lambda: KSplit(k=2.0, d=2), "split count k must be an integer >= 2"),
+    (lambda: KSplit(k=2, d=3.0), "choice count d must be an integer >= 2"),
+    (lambda: LeastKOfN(n=4.0, k=2), "probe count n must be an integer >= k=2"),
+    (lambda: LeastKOfN(n=4, k=True), "split count k must be a positive integer"),
+    (lambda: BatchSampling(n=5.0, k=4), "probe count must satisfy 1 < n/k < 2"),
+    (lambda: BatchSampling(n=5, k=4.0), "task count k must be a positive integer"),
+    (lambda: RedundantRequest(k=2.0), "needed completions k must be a positive integer"),
+    (lambda: RedundantRequest(k=2, extra=1.0), "extra fan-out must be a nonnegative integer"),
+    (lambda: empirical_residual(_EXP, 0.5, seed=1.5), "seed must be an integer"),
+    (lambda: empirical_residual(_EXP, 0.5, seed=-1), "seed must be nonnegative, got -1"),
+    (lambda: empirical_residual(_EXP, 0.5, warmup_jobs=10.5), "warmup_jobs must be an integer"),
+    (lambda: empirical_residual(_EXP, 0.5, measured_jobs=True), "measured_jobs must be an integer"),
+], ids=["L-float", "L-bool", "warmup-float", "measured-float", "seed-float", "seed-bool",
+        "naive-d-float", "ksplit-k-float", "ksplit-d-float", "least-n-float", "least-k-bool",
+        "batch-n-float", "batch-k-float", "redundant-k-float", "redundant-extra-float",
+        "residual-seed-float", "residual-seed-negative", "residual-warmup-float",
+        "residual-measured-bool"])
+def test_non_integer_counts_and_seeds_are_rejected(monkeypatch, build, message):
+    # an integral float or a bool used to pass, then crashed in an engine or
+    # truncated silently (seed 1.5 ran as seed 1)
+    monkeypatch.setattr(simulator, "_streams", lambda *args: pytest.fail("drew before checking"))
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_numpy_integers_are_counts():
+    config = ClusterConfig(0.5, LeastKOfN(n=np.int64(4), k=np.int32(2)), _EXP, L=np.int64(20),
+                           seed=np.uint32(3), warmup_jobs=np.int64(10), measured_jobs=np.int64(30))
+    assert run(config) == run(ClusterConfig(0.5, LeastKOfN(n=4, k=2), _EXP, L=20, seed=3,
+                                            warmup_jobs=10, measured_jobs=30))
 
 
 def test_gain_experiment_degenerate_split_is_exactly_zero():
