@@ -268,7 +268,7 @@ def tail_latency_bound(k: int, lam: float, epsilon: float, t: float) -> BoundRep
     _check_split(k, lam, strict=False)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"tail budget must lie in (0, 1), got {epsilon}")
-    if t < 0.0:
+    if not t >= 0.0:  # NaN too
         raise ValueError(f"latency threshold must be nonnegative, got {t}")
     ratio = math.log(epsilon / k) / math.log(lam / k)
     if ratio <= 1.0:

@@ -54,6 +54,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -133,6 +134,12 @@ class SweepSpec:
                 f"unknown experiment '{self.experiment}' (expected one of {', '.join(_ROWS)})",
                 ("experiment",),
             )
+        for key in ("L", "seed", "warmup_jobs", "measured_jobs"):
+            value = getattr(self, key)
+            if value is None and key != "seed":  # the run's own default
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"sim.{key} must be an integer, got {value!r}", (f"sim.{key}",))
         if not self.lam_grid:
             raise ConfigError("lambda grid empty", ("lambda.grid",))
         for lam in self.lam_grid:

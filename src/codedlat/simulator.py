@@ -466,11 +466,11 @@ def _grow(ring: np.ndarray, wp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grown, np.roll(slots, -1, axis=1).ravel()
 
 
-def _depth_views(ring: np.ndarray, group_key: np.ndarray):
+def _depth_views(ring: np.ndarray, gid: np.ndarray):
     """(depth, flat ring, pick key base, probe flags, their ``uint64`` words) at a depth."""
     depth = ring.shape[1]
-    ahead = np.zeros((*group_key.shape, -(-depth // 8) * 8), dtype=bool)  # whole uint64 words
-    return depth, ring.reshape(-1), group_key * (depth + 1), ahead[..., :depth], ahead.view(np.uint64)
+    ahead = np.zeros((gid.size, -(-depth // 8) * 8), dtype=bool)  # whole uint64 words
+    return depth, ring.reshape(-1), gid * (depth + 1), ahead[:, :depth], ahead.view(np.uint64)
 
 
 def _run_lanes(configs: Sequence[ClusterConfig]):
@@ -484,60 +484,52 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
     counts each server's flags with one ``np.bitwise_count`` per ``uint64``
     word, at every depth.  ``wp`` holds the flat index of each server's
     last write, whose departure is where its next task starts; a
-    successor table gives the slot written next.  Selection is one stable
-    argsort of the flat keys (lane, group id, queue length), whose sorted
-    positions index the flat candidate rows, then the policy's positions.
-    Lanes are padded to a common width with columns at private dummy
-    servers that sort last and get zero-service padding tasks.
+    successor table gives the slot written next.  A step's candidates are
+    every lane's row laid end to end, and so are its tasks.  Group ids run
+    on across lanes, so selection is one stable argsort of the keys
+    (group id, queue length), whose sorted positions index the candidates:
+    a lane's picks sit at its first column plus its group starts.
     """
     R = len(configs)
     warmup, measured = configs[0].warmup_jobs, configs[0].measured_jobs
     shapes = [_shape(c.policy) for c in configs]
-    K = max(sh.tasks for sh in shapes)
-    W = max(sh.fanout + K - sh.tasks for sh in shapes)
     offsets = np.cumsum([0] + [c.L for c in configs])
-    servers = int(offsets[-1]) + R * W
-    template = servers - R * W + np.arange(R * W).reshape(R, W)  # dummy servers
-    gid = np.full((R, W), W)
-    pick = np.empty((R, K), dtype=np.int64)
-    for r, sh in enumerate(shapes):
-        gid[r, : sh.fanout] = np.arange(sh.fanout) // sh.group
-        starts = np.arange(0, sh.fanout, sh.group)[:, None]
-        pick[r, : sh.tasks] = (starts + np.arange(sh.picks)).ravel()
-        pick[r, sh.tasks :] = np.arange(W - K + sh.tasks, W)  # padding columns, sorted last
-    pick = (np.arange(R)[:, None] * W + pick).ravel()
-    group_key = np.arange(R)[:, None] * (W + 1) + gid  # lane-major (lane, group id)
-    real = gid < W
-    lane_of_real = np.nonzero(real)[0]
+    cols = np.cumsum([0] + [sh.fanout for sh in shapes])
+    tasks = np.cumsum([0] + [sh.tasks for sh in shapes])
+    col_lane = np.repeat(np.arange(R), np.diff(cols))
+    task_lane = np.repeat(np.arange(R), np.diff(tasks))
+    gid, pick, groups = [], [], 0
+    for c0, sh in zip(cols, shapes):
+        gid.append(groups + np.arange(sh.fanout) // sh.group)
+        pick.append((c0 + np.arange(0, sh.fanout, sh.group)[:, None] + np.arange(sh.picks)).ravel())
+        groups += sh.fanout // sh.group
+    gid, pick = np.concatenate(gid), np.concatenate(pick)
 
-    slots = np.arange(servers * _RING).reshape(servers, _RING)
+    slots = np.arange(offsets[-1] * _RING).reshape(-1, _RING)
     ring, wp, succ = np.zeros(slots.shape), slots[:, -1].copy(), np.roll(slots, -1, axis=1).ravel()
-    depth, flat, key_base, flags, words = _depth_views(ring, group_key)
+    depth, flat, key_base, flags, words = _depth_views(ring, gid)
     lat = np.empty((R, measured))
     counts = np.zeros((R, 1), dtype=np.int64)
-    # chunk buffers, reused: padding columns and padding services stay put
-    t, t_task = np.empty((_LANE_CHUNK, R)), np.empty((_LANE_CHUNK, R, K))
-    cand = np.empty((_LANE_CHUNK, R, W), dtype=np.int64)
-    cand[:] = template
-    svc = np.zeros((_LANE_CHUNK, R, K))
-    qs = np.empty((_LANE_CHUNK, R, W), dtype=np.int64)
-    deps = np.empty((_LANE_CHUNK, R * K))
+    t = np.empty((_LANE_CHUNK, R))  # chunk buffers, reused
+    cand = np.empty((_LANE_CHUNK, cols[-1]), dtype=np.int64)
+    svc = np.empty((_LANE_CHUNK, tasks[-1]))
+    qs = np.empty((_LANE_CHUNK, cols[-1]), dtype=np.int64)
+    deps = np.empty((_LANE_CHUNK, tasks[-1]))
     for chunk in zip(*(_jobs(c, _LANE_CHUNK) for c in configs)):
         j0, J = chunk[0][0], len(chunk[0][1])
         for r, (_, epochs, rows, service) in enumerate(chunk):
             t[:J, r] = epochs
-            cand[:J, r, : shapes[r].fanout] = rows + offsets[r]
-            svc[:J, r, : shapes[r].tasks] = service
-        t_task[:] = t[:, :, None]
-        steps = zip(cand[:J], qs, deps, t[:, :, None, None],
-                    t_task.reshape(-1, R * K), svc.reshape(-1, R * K))
+            cand[:J, cols[r] : cols[r + 1]] = rows + offsets[r]
+            svc[:J, tasks[r] : tasks[r + 1]] = service
+        steps = zip(cand[:J], qs, deps, t[:J].take(col_lane, axis=1)[:, :, None],
+                    t[:J].take(task_lane, axis=1), svc)
         for c, q, dep, tp, tt, sv in steps:
             np.greater(ring.take(c, axis=0), tp, out=flags)
-            np.add.reduce(np.bitwise_count(words), axis=2, out=q)
-            s = c.take((key_base + q).argsort(axis=None, kind="stable").take(pick))
+            np.add.reduce(np.bitwise_count(words), axis=1, out=q)
+            s = c.take((key_base + q).argsort(kind="stable").take(pick))
             if q.max() == depth and (flat.take(succ.take(wp.take(s))) > tt).any():
                 ring, succ = _grow(ring, wp)
-                depth, flat, key_base, flags, words = _depth_views(ring, group_key)
+                depth, flat, key_base, flags, words = _depth_views(ring, gid)
             w = wp.take(s)
             np.maximum(flat.take(w), tt, out=dep)
             dep += sv
@@ -546,10 +538,10 @@ def _run_lanes(configs: Sequence[ClusterConfig]):
             wp.put(s, w)
         first = max(warmup - j0, 0)
         if first < J:
-            worst = deps[first:J].reshape(-1, R, K).max(-1)
+            worst = np.maximum.reduceat(deps[first:J], tasks[:-1], axis=1)
             lat[:, j0 + first - warmup : j0 + J - warmup] = (worst - t[first:J]).T
             counts = np.pad(counts, ((0, 0), (0, depth + 1 - counts.shape[1])))
-            codes = qs[first:J, real] + lane_of_real * (depth + 1)
+            codes = qs[first:J] + col_lane * (depth + 1)
             counts += np.bincount(codes.ravel(), minlength=R * (depth + 1)).reshape(R, depth + 1)
     return [_build_stats(lat[r], np.trim_zeros(counts[r], "b"), c.keep_samples)
             for r, c in enumerate(configs)]

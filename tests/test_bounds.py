@@ -339,6 +339,7 @@ def test_tail_bound_reference_points():
     assert bounds.tail_latency_bound(4, 0.5, 0.01, 0.1).value == 1.0
     assert bounds.tail_latency_bound(4, 0.5, 0.01, 1.5).value == pytest.approx(0.437265639, abs=1e-9)
     assert bounds.tail_latency_bound(4, 0.5, 0.01, 60.0).value == pytest.approx(0.01, abs=1e-12)
+    assert bounds.tail_latency_bound(4, 0.5, 0.01, math.inf).value == 0.01
 
 
 def test_tail_bound_reports_its_regime():

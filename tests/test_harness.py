@@ -587,6 +587,7 @@ def test_cli_invalid_arguments_exit_2(tmp_path, capsys):
         ["--k", "4", "--lambda", "0.9", "--dist", "weibull", "--shape", "-1"],
         ["--k", "0", "--lambda", "0.9"],
         ["--k", "-1", "--lambda", "0.9", "--epsilon", "0.01", "--t", "1"],
+        ["--k", "4", "--lambda", "0.5", "--epsilon", "0.01", "--t", "nan"],
     ]
     for argv in simulates:
         assert cli.main(["simulate", *argv]) == 2, argv

@@ -191,6 +191,39 @@ def test_ring_overflow_grows_and_stays_exact(monkeypatch):
     assert max(q for stats in want for q, _ in stats.queue_ccdf) >= 16
 
 
+def test_lanes_of_different_widths_share_one_unpadded_ring(monkeypatch):
+    # fanouts 2, 24, 9 and 14 side by side: each step probes exactly their
+    # candidates and places exactly their tasks, at no server but theirs
+    shapes = [(NaiveReplication(d=2), Exponential(rate=1.0)),
+              (KSplit(k=8, d=3), Exponential(rate=8.0)),
+              (LeastKOfN(n=9, k=3), Exponential(rate=3.0)),
+              (BatchSampling(n=14, k=10), Exponential(rate=1.0))]
+    configs = [ClusterConfig(lam=lam, policy=policy, service=service, L=L, seed=5 * i + j,
+                             warmup_jobs=700, measured_jobs=1_300, keep_samples=True)
+               for i, (policy, service) in enumerate(shapes)
+               for j, (lam, L) in enumerate([(0.5, 60 + 7 * i), (0.9, 30)])]
+    want = [run(c) for c in configs]
+    assert [run(replace(c, engine="event")) for c in configs] == want
+    views = []
+    real_views = simulator._depth_views
+
+    def depth_views(ring, gid):
+        views.append((ring.shape[0], gid.size))
+        return real_views(ring, gid)
+
+    monkeypatch.setattr(simulator, "_RING", 2)
+    monkeypatch.setattr(simulator, "_depth_views", depth_views)
+    _lockstep_only(monkeypatch)
+    got = run_many(configs)
+    assert got == want
+    for a, b in zip(got, want):
+        assert np.array_equal(a.samples, b.samples)
+    assert len(views) > 1  # the ring grew, and kept its rows
+    servers = sum(c.L for c in configs)
+    fanout = sum(simulator._shape(c.policy).fanout for c in configs)
+    assert set(views) == {(servers, fanout)}
+
+
 def test_grow_keeps_every_departure_oldest_first():
     # server 0 last wrote slot 1, so slot 2 holds its oldest departure; server 1
     # last wrote slot 3, so its ring is already oldest-first
@@ -574,17 +607,31 @@ _EXP = Exponential(rate=1.0)
     (lambda: empirical_residual(_EXP, 0.5, seed=-1), "seed must be nonnegative, got -1"),
     (lambda: empirical_residual(_EXP, 0.5, warmup_jobs=10.5), "warmup_jobs must be an integer"),
     (lambda: empirical_residual(_EXP, 0.5, measured_jobs=True), "measured_jobs must be an integer"),
+    (lambda: harness.SweepSpec("residual-check", (0.5,), ((1, 1, 1),), seed=1.5),
+     "^sim.seed must be an integer, got 1.5$"),
+    (lambda: harness.SweepSpec("bound-check", (0.5,), ((4, 2, 2),), seed=True),
+     "^sim.seed must be an integer, got True$"),
+    (lambda: harness.SweepSpec("bound-check", (0.5,), ((4, 2, 2),), seed=None),
+     "^sim.seed must be an integer, got None$"),
+    (lambda: harness.SweepSpec("bound-check", (0.5,), ((4, 2, 2),), L=500.0),
+     "^sim.L must be an integer, got 500.0$"),
+    (lambda: harness.SweepSpec("bound-check", (0.5,), ((4, 2, 2),), warmup_jobs=10.5),
+     "^sim.warmup_jobs must be an integer, got 10.5$"),
+    (lambda: harness.SweepSpec("bound-check", (0.5,), ((4, 2, 2),), measured_jobs=300.0),
+     "^sim.measured_jobs must be an integer, got 300.0$"),
 ], ids=["L-float", "L-bool", "warmup-float", "measured-float", "seed-float", "seed-bool",
         "naive-d-float", "ksplit-k-float", "ksplit-d-float", "least-n-float", "least-k-bool",
         "batch-n-float", "batch-k-float", "redundant-k-float", "redundant-extra-float",
         "residual-seed-float", "residual-seed-negative", "residual-warmup-float",
-        "residual-measured-bool"])
+        "residual-measured-bool", "spec-seed-float", "spec-seed-bool", "spec-seed-none", "spec-L-float",
+        "spec-warmup-float", "spec-measured-float"])
 def test_non_integer_counts_and_seeds_are_rejected(monkeypatch, build, message):
     # an integral float or a bool used to pass, then crashed in an engine or
-    # truncated silently (seed 1.5 ran as seed 1)
+    # truncated silently (seed 1.5 ran as seed 1); a sweep spec names its sim.* key
     monkeypatch.setattr(simulator, "_streams", lambda *args: pytest.fail("drew before checking"))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as err:
         build()
+    assert isinstance(err.value, harness.ConfigError) == message.startswith("^sim.")
 
 
 def test_numpy_integers_are_counts():
