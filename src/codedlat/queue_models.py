@@ -14,6 +14,7 @@ built from.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -95,9 +96,12 @@ def order_stat_expectation(pmf, sample_count: int, rank: int) -> float:
         raise ValueError("pmf must be a nonempty 1-d array of probabilities over 0..q_max")
     if np.any(arr < -1e-15) or abs(float(arr.sum()) - 1.0) > 1e-9:
         raise ValueError("pmf must be nonnegative and sum to 1")
+    for name, value in (("sample_count", sample_count), ("rank", rank)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     n = int(sample_count)
     if n < 1:
-        raise ValueError(f"sample count must be positive, got {sample_count}")
+        raise ValueError(f"sample_count must be positive, got {sample_count}")
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in 1..{n}, got {rank}")
     cdf_below = np.cumsum(arr)[:-1]  # F(m-1) for m = 1..q_max

@@ -768,7 +768,7 @@ def test_every_key_changes_the_rows_or_is_rejected(kind):
 PINNED_CSV = {
     "batch-sampling": """\
 experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b
-batch-sampling,exponential,1,0,5,4,1.25,0.5,,8668861027912758289,2.80891706,0.0895471093,4.13738632,BoundI-tight,1,4.83333333,5.5585888
+batch-sampling,exponential,1,0,5,4,1.25,0.5,,8668861027912758289,2.80891706,0.0895471093,4.13738632,BoundI-tight,1,4.83333333,5.55858875
 """,
     "bound-check": """\
 experiment,family,shape,shift,n,k,d,lam,t,seed,sim_mean,sim_se,theory,branch,passed,aux_a,aux_b

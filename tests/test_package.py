@@ -65,6 +65,14 @@ def test_readme_csv_schema_lists_the_columns():
     assert re.search(r"```\n(.*?)\n```", section).group(1) == ",".join(harness.CSV_COLUMNS)
 
 
+def test_readme_layout_lists_every_module():
+    block = re.search(r"## Layout\n\n```\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+    listed = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
+    shipped = [path.name for path in (ROOT / "src" / "codedlat").glob("*.py")
+               if path.name != "__init__.py"]
+    assert sorted(listed) == sorted(shipped)
+
+
 def _run_fresh(script: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}

@@ -62,6 +62,15 @@ def test_order_stat_expectation_rank_validation():
         order_stat_expectation([0.5, 0.5], 2, 3)
 
 
+@pytest.mark.parametrize("sample_count, rank, name", [
+    (10.7, 1, "sample_count"), (2.0, 1, "sample_count"), (True, 1, "sample_count"),
+    (2, 1.5, "rank"), (2, 1.0, "rank"), (2, True, "rank"),
+])
+def test_order_stat_expectation_rejects_non_integer_counts(sample_count, rank, name):
+    with pytest.raises(ValueError, match=name):
+        order_stat_expectation([0.5, 0.5], sample_count, rank)
+
+
 @st.composite
 def pmfs(draw):
     size = draw(st.integers(min_value=1, max_value=8))
