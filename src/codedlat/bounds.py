@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .distributions import (
     SubExpParams,
     canonical_family,
     chunk_dist,
+    is_count,
     mgf,
     mgf_domain_sup,
 )
@@ -75,11 +75,11 @@ class BoundReport:
 
 def harmonic(k: int) -> float:
     """H(k) = sum_{i=1..k} 1/i, with H(0) = 0."""
-    if k < 0 or k != int(k):
-        raise ValueError(f"harmonic index must be a nonnegative integer, got {k}")
+    if not is_count(k, 0):
+        raise ValueError(f"harmonic index k must be a nonnegative integer, got {k!r}")
     if k == 0:
         return 0.0
-    return float(np.sum(1.0 / np.arange(1, int(k) + 1)))
+    return float(np.sum(1.0 / np.arange(1, k + 1)))
 
 
 def maximal_subexp_bound(n_draws: int, params: SubExpParams, mean: float) -> float:
@@ -89,7 +89,7 @@ def maximal_subexp_bound(n_draws: int, params: SubExpParams, mean: float) -> flo
     Gaussian-dominated and the linear-tail-dominated regimes of the
     maximal inequality.  n_draws = 1 collapses to the mean.
     """
-    if isinstance(n_draws, bool) or not isinstance(n_draws, Integral) or n_draws < 1:
+    if not is_count(n_draws, 1):
         raise ValueError(f"n_draws must be an integer >= 1, got {n_draws!r}")
     ln_n = math.log(n_draws)
     return max(math.sqrt(params.tau_sq) * math.sqrt(2.0 * ln_n), 2.0 * params.b * ln_n) + mean
@@ -129,7 +129,7 @@ def _golden_min(f, lo: float, hi: float) -> float:
     return fc if fc < fd else fd
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: a cached 4 never answers for 4.0 or True
 def m_k_bound(dist: ServiceDistribution, k: int) -> float:
     """Bound on the expected maximum of k stationary residuals.
 
@@ -139,8 +139,8 @@ def m_k_bound(dist: ServiceDistribution, k: int) -> float:
     objective is unimodal on the MGF's finiteness interval for every
     family handled here.  Cached: a pure function of a frozen law and k.
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"k must be a positive integer, got {k}")
+    if not is_count(k, 1):
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     k2 = float(k) ** 2
     s_sup = mgf_domain_sup(dist)
     if s_sup <= 0.0:
@@ -176,8 +176,8 @@ def m_k_bound(dist: ServiceDistribution, k: int) -> float:
 
 def _check_split(k: int, lam: float, strict: bool) -> None:
     """Reject a split count below 2, a load outside (0, 1) and, if strict, lam <= 1/k."""
-    if k < 2 or k != int(k):
-        raise ValueError(f"split count k must be an integer >= 2, got {k}")
+    if not is_count(k, 2):
+        raise ValueError(f"split count k must be an integer >= 2, got {k!r}")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"arrival intensity must lie in (0, 1), got {lam}")
     if strict and lam * k <= 1.0:
@@ -332,7 +332,6 @@ def zero_load_latency(family: str, k: int, *, shift: float = 0.0, shape: float =
         return shift / k + h * (1.0 - shift) / k
     if k > _MAX_ALTERNATING_K:
         raise ValueError(f"{fam} zero-load latency needs k <= {_MAX_ALTERNATING_K}, got {k}")
-    k = int(k)
     js = range(1, k + 1)
     # E[min of j]: the min of j draws of Weibull(m, b) is Weibull(m, b j^(-1/m))
     mins = [dists.mean(chunk) * j ** (-1.0 / chunk.shape) for j in js]
@@ -356,11 +355,11 @@ def redundant_request_latency(k: int, extra: int) -> float:
     (H(k + extra) - H(extra)) / k with exponential rate-k chunks; the
     extra = 0 case is the plain split latency H(k)/k.
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"needed completions k must be a positive integer, got {k}")
-    if extra < 0 or extra != int(extra):
-        raise ValueError(f"extra fan-out must be a nonnegative integer, got {extra}")
-    return (harmonic(k + int(extra)) - harmonic(int(extra))) / k
+    if not is_count(k, 1):
+        raise ValueError(f"needed completions k must be a positive integer, got {k!r}")
+    if not is_count(extra, 0):
+        raise ValueError(f"extra fan-out must be a nonnegative integer, got {extra!r}")
+    return (harmonic(k + extra) - harmonic(extra)) / k
 
 
 def bound_I(lam: float, d: float, k: int, variant: str = "tight") -> BoundReport:
@@ -370,11 +369,10 @@ def bound_I(lam: float, d: float, k: int, variant: str = "tight") -> BoundReport
     statistics of k pmf draws; loose: H(k) + k * E[Q].  Unit-mean
     exponential tasks assumed.
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"task count k must be a positive integer, got {k}")
+    if not is_count(k, 1):
+        raise ValueError(f"task count k must be a positive integer, got {k!r}")
     if variant not in ("tight", "loose"):
         raise ValueError(f"variant must be 'tight' or 'loose', got {variant!r}")
-    k = int(k)
     pmf = batch_sampling_pmf(lam, d)
     h = harmonic(k)
     if variant == "loose":
@@ -424,8 +422,8 @@ def bound_II(lam: float, d: float, k: int) -> BoundReport:
     the loose Bound I's 20.382, 24.798 and 31.605); which form the paper
     means is not settled here, so the bracket edge ships.
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"task count k must be a positive integer, got {k}")
+    if not is_count(k, 1):
+        raise ValueError(f"task count k must be a positive integer, got {k!r}")
     pmf = batch_sampling_pmf(lam, d)
     q_max = pmf.size - 1
     mu, var = _interp_moments(pmf)
@@ -461,8 +459,8 @@ def theoretical_gain(
     fig3a (4,2,2) lam 0.9, (6,3,2) lam 0.9 and (8,4,2) lam 0.8 and 0.9,
     and its minimum is -3.283 (fig4 (9,3,3) lam 0.4).
     """
-    if d < 2 or d != int(d):
-        raise ValueError(f"replication factor d must be an integer >= 2, got {d}")
+    if not is_count(d, 2):
+        raise ValueError(f"replication factor d must be an integer >= 2, got {d!r}")
     fam = canonical_family(family)
     full = chunk_dist(fam, 1, shift=shift, shape=shape)
     replicated_proxy = dists.mean(full) * double_exp_mean(d, lam)

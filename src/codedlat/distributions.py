@@ -274,11 +274,16 @@ def sample(dist: ServiceDistribution, rng: np.random.Generator, size=None):
     return dist._sample(rng, size)
 
 
+def is_count(value, least: float) -> bool:
+    """Whether ``value`` is an integer (it has ``__index__``, and is no bool) of at least ``least``."""
+    return type(value) is not bool and hasattr(value, "__index__") and value >= least
+
+
 def moment(dist: ServiceDistribution, order: int) -> float:
     """Raw moment E[X^order], in closed form for every family."""
-    if order < 0 or order != int(order):
-        raise ValueError(f"moment order must be a nonnegative integer, got {order}")
-    return dist._moment(int(order))
+    if not is_count(order, 0):
+        raise ValueError(f"moment order must be a nonnegative integer, got {order!r}")
+    return dist._moment(order)
 
 
 def mean(dist: ServiceDistribution) -> float:
@@ -355,6 +360,6 @@ def chunk_dist(
     A parameter the family does not read is ignored here;
     ``unread_parameter`` is what rejects it.
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"split count k must be a positive integer, got {k}")
+    if not is_count(k, 1):
+        raise ValueError(f"split count k must be a positive integer, got {k!r}")
     return _FAMILIES[canonical_family(family)].chunk(k, shift, shape)

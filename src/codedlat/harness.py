@@ -54,7 +54,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -138,7 +137,7 @@ class SweepSpec:
             value = getattr(self, key)
             if value is None and key != "seed":  # the run's own default
                 continue
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not dists.is_count(value, -math.inf):
                 raise ConfigError(f"sim.{key} must be an integer, got {value!r}", (f"sim.{key}",))
         if not self.lam_grid:
             raise ConfigError("lambda grid empty", ("lambda.grid",))

@@ -19,11 +19,13 @@ lanes: one popcount over a ring of each server's pending departures
 counts its queue, a pointer to its last write and a successor table
 place its tasks, and one flat stable argsort picks in every lane.  The
 event engine, the oracle for both, processes each completion from an
-explicit heap.  A task is a (job, service, server) tuple in its
-server's deque, the task in service at the head.  A purged task leaves
-its deque at once, so a completion whose task is no longer at the head
-is skipped.  Every run checks that no task finishes before its service
-is done and that every job completes.
+explicit heap.  A task is a (job, service, queue) tuple in its
+server's queue, the task in service at the head.  A purged task leaves
+its queue at once, so a completion whose task is no longer at the head
+is skipped.  Both scalar engines keep the queues as lists in one object
+array, which each chunk's candidate rows index at once.  Every run
+checks that no task finishes before its service is done and that every
+job completes.
 Every run consumes its own three RNG streams (arrivals, selection,
 service), each drawn in whole blocks (selection candidates as blocks of
 server rows), and every engine reads them through one chunked reader,
@@ -38,7 +40,6 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
-from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -66,7 +67,7 @@ __all__ = [
 
 def _need(value, least: float, message: str, most: float = math.inf) -> None:
     """Raise ``ValueError(message)`` unless ``value`` is an integer (a bool is not) in [least, most]."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or not least <= value <= most:
+    if not dists.is_count(value, least) or value > most:
         raise ValueError(message)
 
 
@@ -325,8 +326,13 @@ def _candidate_blocks(rng, n_servers: int, m: int):
         yield block
 
 
+def _queues(n: int) -> np.ndarray:
+    """``n`` empty server queues in an object array: one take gathers a chunk's candidates'."""
+    return np.fromiter(([] for _ in range(n)), object, n)
+
+
 def _choose(cand: list, q: list, group: int, picks: int) -> list:
-    """The servers sent a task: in each run of ``group`` candidates, the ``picks``
+    """The queues sent a task: in each run of ``group`` candidates, the ``picks``
     with the shortest probed queues ``q``, ties to the earliest drawn.  The draw
     is uniform, so tie-breaking is deterministic without favoring any server.
     The event oracle's rule, and the scalar engine's where picks > 1 or a job purges.
@@ -392,21 +398,20 @@ def _run_fast(config: ClusterConfig):
     fused = picks == 1 and not purging  # each group's least queue is kept while probing
     longest = warmup + config.measured_jobs  # more tasks than any queue holds
 
-    pending = [deque() for _ in range(config.L)]  # times the tasks at a server leave, ascending
+    pending = _queues(config.L)  # times the tasks at a server leave, ascending
     lat = np.empty(config.measured_jobs)
     counts = np.zeros(1, dtype=np.int64)  # probes by queue length seen
     for j0, epochs, rows, service in _jobs(config, _CHUNK):
-        J, epochs = len(epochs), epochs.tolist()
+        J, epochs, queues = len(epochs), epochs.tolist(), pending[rows]  # the candidates' queues
         probed, dones = [], []
         if fused:
-            for t, groups, svc in zip(epochs, rows.reshape(J, -1, group).tolist(), service.tolist()):
+            for t, groups, svc in zip(epochs, queues.reshape(J, -1, group).tolist(), service.tolist()):
                 done = t  # no task leaves before t, so done ends as the latest departure
                 for cand, dep in zip(groups, svc):
                     least = longest
-                    for s in cand:
-                        dq = pending[s]
+                    for dq in cand:
                         while dq and dq[0] <= t:
-                            dq.popleft()
+                            del dq[0]
                         n = len(dq)
                         probed.append(n)
                         if n < least:  # ties go to the earliest drawn
@@ -417,18 +422,17 @@ def _run_fast(config: ClusterConfig):
                         done = dep
                 dones.append(done)
         else:
-            for t, cand, dep in zip(epochs, rows.tolist(), service.tolist()):
+            for t, cand, dep in zip(epochs, queues.tolist(), service.tolist()):
                 q = []
-                for s in cand:
-                    dq = pending[s]
+                for dq in cand:
                     while dq and dq[0] <= t:
-                        dq.popleft()
+                        del dq[0]
                     q.append(len(dq))
                 probed += q
                 chosen = _choose(cand, q, group, picks)
                 for i in range(n_tasks):
-                    # the chosen servers were just probed, so a server is busy until its last leave time
-                    dq = pending[chosen[i]]
+                    # the chosen queues were just probed, so a server is busy until its last leave time
+                    dq = chosen[i]
                     dep[i] += dq[-1] if dq else t
                     dq.append(dep[i])
                 # the job is done at its needed-th departure; a task still there then is purged
@@ -436,7 +440,7 @@ def _run_fast(config: ClusterConfig):
                 if purging:
                     for i in range(n_tasks):
                         if dep[i] > done:
-                            dq = pending[chosen[i]]
+                            dq = chosen[i]
                             dq.pop()
                             insort(dq, done)
                 dones.append(done)
@@ -561,22 +565,22 @@ class _Job:
 
 
 def _run_event(config: ClusterConfig):
-    # A task is a (job, service, server) tuple.  Each server's deque holds its
-    # tasks, the one in service at the head, so a probe reads its length.  Only
-    # completions live in the heap, as (time, seq, task) ordered by (time, seq).
-    # Each arrival first processes every completion at or before its epoch, so
-    # it sees those tasks gone, matching the fast engine's strict departure > t
-    # queue count; a last arrival at inf drains the heap.  A purged task leaves
-    # its deque at once, so a popped completion whose task is no longer at its
-    # server's head was purged in service and is skipped.
-    L = config.L
+    # A task is a (job, service, queue) tuple.  Each server's queue, a list
+    # that a chunk gathers with its candidates, holds its tasks, the one in
+    # service at the head, so a probe reads its length.  Only completions live
+    # in the heap, as (time, seq, task) ordered by (time, seq).  Each arrival
+    # first processes every completion at or before its epoch, so it sees those
+    # tasks gone, matching the fast engine's strict departure > t queue count;
+    # a last arrival at inf drains the heap.  A purged task leaves its queue at
+    # once, so a popped completion whose task is no longer at its queue's head
+    # was purged in service and is skipped.
     warmup, measured = config.warmup_jobs, config.measured_jobs
     total = warmup + measured
     shape = _shape(config.policy)
     fanout, group, picks = shape.fanout, shape.group, shape.picks
     needed, purging = shape.needed, shape.needed < shape.tasks
 
-    queues = [deque() for _ in range(L)]
+    queues = _queues(config.L)
     heap: list[tuple] = []
     seq = 0
     lat = np.empty(measured)
@@ -589,7 +593,7 @@ def _run_event(config: ClusterConfig):
         # its jobs are dispatched
         nonlocal counts
         for j0, epochs, rows, service in _jobs(config, _CHUNK):
-            yield from zip(range(j0, total), epochs.tolist(), rows.tolist(), service.tolist())
+            yield from zip(range(j0, total), epochs.tolist(), queues[rows].tolist(), service.tolist())
             counts = _tally(counts, probed[max(warmup - j0, 0) * fanout :])
             probed.clear()
         yield total, math.inf, None, None
@@ -597,14 +601,13 @@ def _run_event(config: ClusterConfig):
     for j, t, cand, svc in arrivals():
         while heap and heap[0][0] <= t:
             now, _, task = heap[0]
-            job, x, s = task
-            dq = queues[s]
+            job, x, dq = task
             if not dq or dq[0] is not task:  # purged in service; obsolete event
                 heappop(heap)
                 continue
             if now < job.t + x - 1e-9:
                 raise AssertionError("task finished before its service demand")
-            dq.popleft()
+            del dq[0]
             if dq:
                 seq += 1
                 heapreplace(heap, (now + dq[0][1], seq, dq[0]))
@@ -616,10 +619,10 @@ def _run_event(config: ClusterConfig):
             jobs_done += 1
             if job.idx >= warmup:
                 lat[job.idx - warmup] = now - job.t
-            for sib in job.tasks:  # purge the tasks still outstanding (a done one is in no deque)
-                dq = queues[sib[2]]
+            for sib in job.tasks:  # purge the tasks still outstanding (a done one is in no queue)
+                dq = sib[2]
                 if dq and dq[0] is sib:
-                    dq.popleft()
+                    del dq[0]
                     if dq:
                         seq += 1
                         heappush(heap, (now + dq[0][1], seq, dq[0]))
@@ -628,14 +631,13 @@ def _run_event(config: ClusterConfig):
             job.tasks = ()  # no job <-> task cycle: a finished job is freed without the GC
         if j == total:  # the last arrival only drains
             break
-        q = [len(queues[s]) for s in cand]
+        q = list(map(len, cand))
         probed += q
         job = _Job(t, j, needed)
         tasks = []
-        for x, s in zip(svc, _choose(cand, q, group, picks)):
-            task = (job, x, s)
+        for x, dq in zip(svc, _choose(cand, q, group, picks)):
+            task = (job, x, dq)
             tasks.append(task)
-            dq = queues[s]
             if not dq:
                 seq += 1
                 heappush(heap, (t + x, seq, task))

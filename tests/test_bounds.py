@@ -274,6 +274,31 @@ def test_maximal_subexp_bound_rejects_a_non_integer_draw_count(n_draws):
         bounds.maximal_subexp_bound(n_draws, SubExpParams(tau_sq=1.0, b=1.0), 0.0)
 
 
+_EXP4 = Exponential(rate=4.0)
+_COUNT_ARGS = {
+    "harmonic": (bounds.harmonic, "k"),
+    "m_k_bound": (lambda v: bounds.m_k_bound(_EXP4, v), "k"),
+    "mean_exp": (lambda v: bounds.mean_latency_bound_exp(v, 0.9), "k"),
+    "mean_weibull": (lambda v: bounds.mean_latency_bound("weibull", v, 0.9, shape=1.5), "k"),
+    "tail": (lambda v: bounds.tail_latency_bound(v, 0.9, 0.1, 1.0), "k"),
+    "redundant_k": (lambda v: bounds.redundant_request_latency(v, 1), "k"),
+    "redundant_extra": (lambda v: bounds.redundant_request_latency(2, v), "extra"),
+    "bound_I": (lambda v: bounds.bound_I(0.8, 1.4, v), "k"),
+    "bound_II": (lambda v: bounds.bound_II(0.8, 1.4, v), "k"),
+    "gain_d": (lambda v: bounds.theoretical_gain(v, 4, 0.5), "d"),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, 4.0, True])
+@pytest.mark.parametrize("call,name", _COUNT_ARGS.values(), ids=list(_COUNT_ARGS))
+def test_bound_counts_reject_a_non_integer(call, name, count):
+    # an integral float or a bool ran before; a cached m_k_bound of 1 or 4 must not answer for it
+    for k in (1, 4):
+        bounds.m_k_bound(_EXP4, k)
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*must be"):
+        call(count)
+
+
 # ---------------------------------------------------------------------------
 # zero-load closed forms
 

@@ -229,6 +229,15 @@ def test_validation():
         Constant(value=0.0)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True])
+@pytest.mark.parametrize("call,name", [(lambda v: moment(Exponential(rate=2.0), v), "order"),
+                                       (lambda v: chunk_dist("exponential", v), "k")],
+                         ids=["moment", "chunk_dist"])
+def test_counts_reject_a_non_integer(call, name, count):
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*must be"):
+        call(count)
+
+
 def test_weibull_rejects_an_infinite_parameter():
     # an infinite shape would reach Gamma(2/shape) = Gamma(0) in the envelope
     for shape, scale in ((math.inf, 1.0), (1.5, math.inf)):

@@ -326,7 +326,7 @@ def test_event_engine_invariants():
 
 def _faulty_push(monkeypatch, fault, at):
     """Make the event engine's ``at``-th ``heappush`` push ``fault(entry)``, or
-    nothing when that is None; an entry is (time, seq, (job, service, server))."""
+    nothing when that is None; an entry is (time, seq, (job, service, queue))."""
     real, pushes = simulator.heappush, itertools.count()
 
     def push(heap, entry):
@@ -381,6 +381,7 @@ def test_event_engine_catches_a_job_never_done(monkeypatch, policy, service):
         # time and only their seq orders them: a seq that ``heapreplace`` reused
         # would compare two tasks
         (RedundantRequest(k=4, extra=4), Constant(value=0.25), 0.5),
+        (KSplit(k=8, d=3), Exponential(rate=8.0), 0.9),  # ksplit-long-run's shape
     ],
 )
 def test_engines_agree_on_the_benchmarked_shapes(policy, service, lam):
